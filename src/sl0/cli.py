@@ -301,12 +301,7 @@ def cmd_sweep(args) -> int:
 def cmd_bound(args) -> int:
     a = linalg.load_matrix(args.matrix)
     s_hat = linalg.load_vector(args.estimate)
-    n, m = a.shape
-    big_m = linalg.compute_M(a)
-    alpha = float(np.sort(np.abs(s_hat))[::-1][n // 2])
-    bound = (big_m + 1.0) * m * alpha
-    print(f"alpha = {alpha:.17g}")
-    print(f"M = {big_m:.17g}")
+    bound = solver.error_upper_bound(a, s_hat)
     print(f"bound = {bound:.17g}")
     return EXIT_OK
 

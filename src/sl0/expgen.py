@@ -26,6 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
+from .linalg import ProjectorFactor
 from .penalty import PenaltyFamily
 from .solver import DEFAULT_SCHEDULE, SolverConfig, irls_solve, sl0_solve
 
@@ -121,11 +122,18 @@ def generate_problem(model: SourceModel, spec: MixingSpec, seed) -> tuple[np.nda
     streams for the mixing matrix, the sources, and the noise."""
     if model.m != spec.m:
         raise DimensionMismatch(f"source length {model.m} != mixing width {spec.m}")
-    seed_a, seed_s, seed_n = np.random.SeedSequence(seed).spawn(3)
+    seed_a, _, _ = np.random.SeedSequence(seed).spawn(3)
     a = generate_mixing(spec, seed_a)
-    s = generate_sources(model, seed_s)
-    x = mix(a, s, spec.noise_sigma, seed_n)
+    s, x = _draw_measurements(a, model, spec.noise_sigma, seed)
     return a, s, x
+
+
+def _draw_measurements(a: np.ndarray, model: SourceModel, noise_sigma: float, seed) -> tuple[np.ndarray, np.ndarray]:
+    """The sources and measurements :func:`generate_problem` draws from
+    ``seed``, on a matrix drawn before."""
+    _, seed_s, seed_n = np.random.SeedSequence(seed).spawn(3)
+    s = generate_sources(model, seed_s)
+    return s, mix(a, s, noise_sigma, seed_n)
 
 
 def mse(s_true, s_est) -> float:
@@ -214,11 +222,16 @@ _GEOMETRIC_KEYS = {"c", "sigma_min", "sigma1"}
 
 def run_trial(point: SweepPoint, run_index: int, base_seed: int) -> TrialResult:
     """Generate one problem instance and solve it, timing the solve only."""
-    seed = base_seed + run_index
-    a, s_true, x = generate_problem(point.source_model(), point.mixing_spec(), seed)
+    a, s_true, x = generate_problem(point.source_model(), point.mixing_spec(), base_seed + run_index)
+    return _solve_trial(point, run_index, a, s_true, x)
+
+
+def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x, projector=None) -> TrialResult:
+    """Solve one drawn problem, with a prebuilt factor of ``a`` when given,
+    and score the estimate; the time covers the solve call only."""
     started = time.perf_counter()
     if point.solver == "sl0":
-        estimate = sl0_solve(a, x, point.solver_config()).estimate
+        estimate = sl0_solve(a, x, point.solver_config(), projector=projector).estimate
     elif point.solver == "irls":
         estimate = irls_solve(
             a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer
@@ -262,31 +275,27 @@ def run_sweep(
     with mean/std/min SNR, mean MSE and mean solve time; solver failures are
     counted per point instead of aborting the sweep. With ``collect_trials``
     a long-format list of per-trial rows is returned alongside.
+
+    Grid points of one run index that share (n, m) share its matrix, which
+    is drawn and factored once for all of them; the solve times exclude that
+    factorization. Run indices are taken one at a time, with the solves of
+    one index spread over ``jobs`` threads.
     """
     base = base or SweepPoint()
     if runs < 1:
         raise ValueError("runs must be at least 1")
     points = _grid_points(grid, base)
 
-    tasks = [(overrides, point, r) for overrides, point in points for r in range(runs)]
-
-    def _one(task):
-        _, point, r = task
-        try:
-            return run_trial(point, r, base_seed)
-        except Sl0Error as exc:
-            return exc
-
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_one, tasks))
+            by_run = [_sweep_run_index(points, r, base_seed, pool.map) for r in range(runs)]
     else:
-        outcomes = [_one(t) for t in tasks]
+        by_run = [_sweep_run_index(points, r, base_seed, map) for r in range(runs)]
 
     rows = []
     trial_rows = []
     for i, (overrides, _point) in enumerate(points):
-        chunk = outcomes[i * runs : (i + 1) * runs]
+        chunk = [outcomes[i] for outcomes in by_run]
         good = [t for t in chunk if isinstance(t, TrialResult)]
         snrs = np.array([t.snr_db for t in good])
         row = dict(overrides)
@@ -313,6 +322,46 @@ def run_sweep(
     if collect_trials:
         return rows, trial_rows
     return rows
+
+
+def _sweep_run_index(points, run_index: int, base_seed: int, map_fn) -> list:
+    """Trial outcomes (TrialResult or the Sl0Error raised) of one run index
+    at every grid point.
+
+    The problems are drawn here, on the calling thread: the first grid point
+    of each (n, m) draws the whole problem and factors its matrix, and the
+    others draw only their sources and noise on that matrix, so every
+    problem is bit-identical to :func:`generate_problem` at the trial seed.
+    ``map_fn`` runs the solves. The factors live only until this returns.
+    """
+    seed = base_seed + run_index
+    shared: dict[tuple[int, int], tuple] = {}
+    trials = []
+    for _, point in points:
+        model = point.source_model()
+        key = (point.n, point.m)
+        if key in shared:
+            a, factor = shared[key]
+            s_true, x = _draw_measurements(a, model, point.noise_sigma, seed)
+        else:
+            a, s_true, x = generate_problem(model, point.mixing_spec(), seed)
+            try:
+                factor = ProjectorFactor(a)
+            except Sl0Error as exc:
+                factor = exc
+            shared[key] = (a, factor)
+        trials.append((point, a, s_true, x, factor))
+
+    def _one(trial):
+        point, a, s_true, x, factor = trial
+        if isinstance(factor, Sl0Error):
+            return factor
+        try:
+            return _solve_trial(point, run_index, a, s_true, x, factor)
+        except Sl0Error as exc:
+            return exc
+
+    return list(map_fn(_one, trials))
 
 
 def _format_cell(v) -> str:

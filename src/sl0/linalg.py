@@ -4,9 +4,9 @@ used by the error bounds.
 
 The feasible set of an underdetermined system A·s = x (A of shape n×m with
 n <= m and full row rank) is an affine subspace. Everything here is built on
-one cached object, :class:`ProjectorFactor`, holding a Cholesky factorization
-of A·Aᵀ so that the pseudoinverse action Aᵀ(A·Aᵀ)⁻¹ can be applied repeatedly
-without refactoring.
+one object, :class:`ProjectorFactor`, holding the precomputed pseudoinverse
+A⁺ = Aᵀ(A·Aᵀ)⁻¹, so that minimum-norm solutions and projections are plain
+matrix products with no factorization or triangular solve per call.
 """
 
 from __future__ import annotations
@@ -22,6 +22,10 @@ from .errors import DimensionMismatch, NotURP, ParseError, RankDeficient, TooLar
 
 # Pragmatic double-precision cutoff: beyond this A·Aᵀ is treated as singular.
 CONDITION_CUTOFF = 1e12
+
+# The pseudoinverse taken through A·Aᵀ carries a relative error of about
+# eps·cond(A·Aᵀ); above this condition estimate it gets one refinement step.
+REFINE_CONDITION = 1e4
 
 # Subset enumeration guards for check_urp / compute_M.
 MAX_COLUMNS_FOR_ENUMERATION = 20
@@ -51,12 +55,16 @@ def as_vector(v) -> np.ndarray:
 
 
 class ProjectorFactor:
-    """Cached factorization of A·Aᵀ for a full-row-rank wide matrix A.
+    """Precomputed pseudoinverse A⁺ = Aᵀ(A·Aᵀ)⁻¹ of a full-row-rank wide
+    matrix A.
 
-    Supplies the two operations the solver iterates on: the pseudoinverse
-    action ``apply(v) = Aᵀ(A·Aᵀ)⁻¹ v`` and the orthogonal projection of a
-    point onto the affine set {s : A·s = x}. Immutable after construction;
-    safe to share across concurrent solves.
+    A⁺ is built once, after a Cholesky factorization of A·Aᵀ has passed the
+    condition check. The operations the solver iterates on are then two
+    matrix products each: the pseudoinverse action ``apply(v) = A⁺·v`` and
+    the orthogonal projection of a point onto the affine set {s : A·s = x}.
+    Everything but the condition estimate runs in numpy, so the solve never
+    switches between numpy's and scipy's BLAS thread pools. Immutable after
+    construction; safe to share across concurrent solves.
 
     Raises ``RankDeficient`` when the 1-norm condition estimate of A·Aᵀ
     exceeds ``CONDITION_CUTOFF`` (or the Cholesky factorization fails
@@ -70,11 +78,11 @@ class ProjectorFactor:
             raise RankDeficient(f"matrix is {n}x{m}; need n <= m for an underdetermined system")
         gram = a @ a.T
         try:
-            self._cho = scipy.linalg.cho_factor(gram, lower=True)
-        except scipy.linalg.LinAlgError as exc:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError as exc:
             raise RankDeficient(f"A*A^T is not positive definite: {exc}") from None
         anorm = np.linalg.norm(gram, 1)
-        rcond, info = scipy.linalg.lapack.dpocon(self._cho[0], anorm, uplo="L")
+        rcond, info = scipy.linalg.lapack.dpocon(chol, anorm, uplo="L")
         if info != 0:
             raise RankDeficient(f"condition estimation failed (LAPACK info={info})")
         self.condition_estimate = float(1.0 / rcond) if rcond > 0 else math.inf
@@ -82,13 +90,16 @@ class ProjectorFactor:
             raise RankDeficient(
                 f"A*A^T condition estimate {self.condition_estimate:.3e} exceeds {CONDITION_CUTOFF:.0e}"
             )
+        pinv = a.T @ np.linalg.inv(gram)
+        if self.condition_estimate > REFINE_CONDITION:
+            # One Newton-Schulz step P <- P + P(I - A·P) squares the error,
+            # so projections stay feasible up to the condition cutoff.
+            pinv += pinv @ (np.eye(n) - a @ pinv)
+        pinv.setflags(write=False)
+        self._pinv = pinv
         self.matrix = a
         self.matrix.setflags(write=False)
         self.source_dims = (n, m)
-
-    def solve_gram(self, v: np.ndarray) -> np.ndarray:
-        """Apply (A·Aᵀ)⁻¹ to a vector of length n (or an n×T block)."""
-        return scipy.linalg.cho_solve(self._cho, v)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply Aᵀ(A·Aᵀ)⁻¹ to ``v`` (the Moore-Penrose pseudoinverse of A)."""
@@ -97,7 +108,7 @@ class ProjectorFactor:
             raise DimensionMismatch(
                 f"operand has leading dimension {v.shape[0]}, expected {self.source_dims[0]}"
             )
-        return self.matrix.T @ self.solve_gram(v)
+        return self._pinv @ v
 
     def project(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Project ``s`` onto {s : A·s = x}; fixes points already feasible."""
@@ -106,17 +117,15 @@ class ProjectorFactor:
             raise DimensionMismatch(
                 f"point has leading dimension {s.shape[0]}, expected {self.source_dims[1]}"
             )
-        return s - self.apply(self.matrix @ s - x)
+        return s - self._pinv @ (self.matrix @ s - x)
 
     def min_norm(self, x: np.ndarray) -> np.ndarray:
         """Minimum Euclidean-norm solution of A·s = x."""
         return self.apply(x)
 
     def pinv_frobenius_norm(self) -> float:
-        """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹, via ‖A⁺‖²_F = tr((A·Aᵀ)⁻¹)."""
-        n = self.source_dims[0]
-        gram_inv = self.solve_gram(np.eye(n))
-        return float(math.sqrt(np.trace(gram_inv)))
+        """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹."""
+        return float(np.linalg.norm(self._pinv))
 
 
 def min_norm_solution(a, x) -> np.ndarray:

@@ -215,17 +215,21 @@ def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFact
     return SolveReport(s, trace, time.perf_counter() - started)
 
 
-def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveReport]:
+def sl0_solve_batch(
+    a, x_block, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None
+) -> list[SolveReport]:
     """Solve one system per column of an n×T block of right-hand sides.
 
     A single factorization of A·Aᵀ is shared across columns, and in fixed
     mode all columns advance together through matrix-shaped steps, so the
     per-sample cost drops well below that of repeated single solves. Each
     returned report carries the per-sample share of the batch wall time.
+    ``projector`` lets callers reuse one prebuilt factorization across
+    blocks, as in :func:`sl0_solve`.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
-    proj = ProjectorFactor(a)
+    proj = projector if projector is not None else ProjectorFactor(a)
     n, m = proj.source_dims
     x_block = as_matrix(x_block)
     if x_block.shape[0] != n:

@@ -272,6 +272,17 @@ class TestBound:
         true_err = np.linalg.norm(load_vector(tmp_path / "s_hat.vec") - load_vector(tmp_path / "s.vec"))
         assert bound >= true_err
 
+    @pytest.mark.parametrize("length", [1, 4])
+    def test_wrong_length_estimate_exit_code(self, tmp_path, capsys, length):
+        """A 3×6 matrix with a too-short estimate (1 entry, fewer than n/2 + 1)
+        or a wrong-length one (4 entries) is malformed input, not a bound."""
+        assert run_cli(*gen_args(tmp_path)) == 0
+        save_vector(tmp_path / "bad.vec", np.ones(length))
+        assert run_cli("bound", "--matrix", tmp_path / "A.mat", "--estimate", tmp_path / "bad.vec") == 3
+        captured = capsys.readouterr()
+        assert "bound =" not in captured.out
+        assert f"estimate has length {length}, expected 6" in captured.err
+
     def test_guard_exit_code(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((10, 50))

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from sl0.expgen import (
     write_trials_csv,
 )
 from sl0.linalg import check_urp
+from sl0.solver import sl0_solve
 
 
 class TestSourceModel:
@@ -201,6 +204,37 @@ class TestSweeps:
         for row_s, row_p in zip(serial, parallel):
             for key in ("snr_mean_db", "snr_std_db", "snr_min_db", "mse_mean", "failures"):
                 assert row_s[key] == row_p[key]
+
+    def test_shared_matrix_rows_match_uncached_solves(self):
+        """Rows of a sweep that shares one factored matrix per run index and
+        (n, m) equal rows rebuilt from generate_problem and sl0_solve, serial
+        and over two threads."""
+        base = SweepPoint(m=40, n=16, k=4)
+        grid = {"k": [2, 4], "noise_sigma": [0.0, 0.05], "n": [12, 16]}
+        rows = run_sweep(grid, runs=2, base_seed=17, base=base)
+        expected = []
+        for k, noise_sigma, n in product(*grid.values()):
+            point = replace(base, k=k, noise_sigma=noise_sigma, n=n)
+            snrs, mses = [], []
+            for r in range(2):
+                a, s, x = generate_problem(point.source_model(), point.mixing_spec(), 17 + r)
+                estimate = sl0_solve(a, x, point.solver_config()).estimate
+                snrs.append(snr_db(s, estimate))
+                mses.append(mse(s, estimate))
+            expected.append(
+                dict(
+                    k=k, noise_sigma=noise_sigma, n=n, runs=2,
+                    snr_mean_db=float(np.mean(snrs)), snr_std_db=float(np.std(snrs)),
+                    snr_min_db=float(np.min(snrs)), mse_mean=float(np.mean(mses)), failures=0,
+                )
+            )
+
+        def drop_timing(rows):
+            return [{key: v for key, v in row.items() if key != "time_mean_s"} for row in rows]
+
+        assert drop_timing(rows) == expected
+        parallel = run_sweep(grid, runs=2, base_seed=17, base=base, jobs=2)
+        assert drop_timing(parallel) == expected
 
     def test_breakdown_gap_between_sparse_and_dense(self):
         """Slow-anneal recovery collapses between 80 and 240 active sources."""

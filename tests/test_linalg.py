@@ -111,6 +111,58 @@ class TestProjectorFactor:
         assert ProjectorFactor(a).pinv_frobenius_norm() == pytest.approx(expected, rel=1e-12)
 
 
+class TestPrecomputedPseudoinverse:
+    """The projector against numpy's SVD pseudoinverse, on vectors and on
+    blocks of right-hand sides."""
+
+    @pytest.mark.parametrize("n,m", [(5, 12), (40, 100), (120, 300)])
+    @pytest.mark.parametrize("t", [None, 1, 10])
+    def test_matches_numpy_pinv(self, n, m, t):
+        rng = np.random.default_rng(n * m + (t or 0))
+        a = unit_column_matrix(rng, n, m)
+        proj = ProjectorFactor(a)
+        pinv = np.linalg.pinv(a)
+        tail = () if t is None else (t,)
+        x = rng.standard_normal((n, *tail))
+        s = 3.0 * rng.standard_normal((m, *tail))
+
+        got = proj.min_norm(x)
+        expected = pinv @ x
+        assert got.shape == expected.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+        got = proj.project(s, x)
+        expected = s - pinv @ (a @ s - x)
+        assert got.shape == s.shape
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("t", [None, 10])
+    def test_idempotent(self, t):
+        rng = np.random.default_rng(31)
+        a = unit_column_matrix(rng, 40, 100)
+        proj = ProjectorFactor(a)
+        tail = () if t is None else (t,)
+        x = rng.standard_normal((40, *tail))
+        once = proj.project(5.0 * rng.standard_normal((100, *tail)), x)
+        twice = proj.project(once, x)
+        assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
+
+    def test_feasible_on_ill_conditioned_matrix(self):
+        """A·Aᵀ condition near 1e10, two decades under the cutoff: the
+        minimum-norm solution and projections still meet A·s = x to 1e-9."""
+        rng = np.random.default_rng(32)
+        n, m = 40, 100
+        u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        v, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        a = (u * np.logspace(0.0, -5.0, n)) @ v.T
+        proj = ProjectorFactor(a)
+        assert 1e9 <= proj.condition_estimate <= 1e11
+        x = rng.standard_normal((n, 10))
+        for s in (proj.min_norm(x), proj.project(10.0 * rng.standard_normal((m, 10)), x)):
+            rel = np.linalg.norm(a @ s - x, axis=0) / np.linalg.norm(x, axis=0)
+            assert np.max(rel) <= 1e-9
+
+
 class TestProjectFeasible:
     def test_fixes_feasible_points(self):
         rng = np.random.default_rng(3)

@@ -310,6 +310,28 @@ class TestBatch:
             np.testing.assert_allclose(reports[t].estimate, single.estimate, atol=1e-12)
 
 
+    @pytest.mark.parametrize("mode", ["fixed", "threshold"])
+    def test_prebuilt_projector_gives_identical_estimates(self, mode):
+        if mode == "fixed":
+            rng = np.random.default_rng(23)
+            a = unit_column_matrix(rng, 6, 15)
+            block = rng.standard_normal((6, 4))
+            cfg = SolverConfig()
+        else:
+            a = STALL_A
+            block = np.column_stack([STALL_X, 0.5 * STALL_X])
+            cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold")
+        proj = ProjectorFactor(a)
+        for scale in (1.0, -2.0):  # one factor serves successive blocks
+            own = sl0_solve_batch(a, scale * block, cfg)
+            shared = sl0_solve_batch(a, scale * block, cfg, projector=proj)
+            for r_own, r_shared in zip(own, shared, strict=True):
+                assert np.array_equal(r_own.estimate, r_shared.estimate)
+                assert [(e.sigma, e.f_total, e.residual_norm) for e in r_own.trace] == [
+                    (e.sigma, e.f_total, e.residual_norm) for e in r_shared.trace
+                ]
+
+
 class TestSigmaFloorNoisy:
     def test_documented_arithmetic(self):
         """Scaled identity-block matrix with unit pseudoinverse norm."""
