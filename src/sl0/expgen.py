@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
-from .linalg import ProjectorFactor
+from .linalg import _factor_of
 from .penalty import PenaltyFamily
 from .solver import DEFAULT_SCHEDULE, SolverConfig, irls_solve, sl0_solve
 
@@ -332,7 +332,9 @@ def _sweep_run_index(points, run_index: int, base_seed: int, map_fn) -> list:
     of each (n, m) draws the whole problem and factors its matrix, and the
     others draw only their sources and noise on that matrix, so every
     problem is bit-identical to :func:`generate_problem` at the trial seed.
-    ``map_fn`` runs the solves. The factors live only until this returns.
+    ``map_fn`` runs the solves. The factors live only until this returns,
+    except the last one built, which stays in the package's factor slot
+    until the next run index factors its matrix.
     """
     seed = base_seed + run_index
     shared: dict[tuple[int, int], tuple] = {}
@@ -346,7 +348,7 @@ def _sweep_run_index(points, run_index: int, base_seed: int, map_fn) -> list:
         else:
             a, s_true, x = generate_problem(model, point.mixing_spec(), seed)
             try:
-                factor = ProjectorFactor(a)
+                factor = _factor_of(a)
             except Sl0Error as exc:
                 factor = exc
             shared[key] = (a, factor)

@@ -128,9 +128,38 @@ class ProjectorFactor:
         return float(np.linalg.norm(self._pinv))
 
 
+# The factor last built by _factor_of. Callers stream many right-hand sides
+# against one mixing matrix, so one slot serves them; it keeps that factor
+# (about 2·n·m doubles) alive until a different matrix arrives.
+_last_factor: ProjectorFactor | None = None
+
+
+def _factor_of(a) -> ProjectorFactor:
+    """The factor of ``a``: the last one built when its matrix equals ``a``
+    entry for entry, otherwise a new one.
+
+    The key is the matrix contents, never the array's identity, so callers
+    may change their array in place between calls. No lock is needed: a
+    thread reading a stale slot can only get a factor whose matrix equals
+    ``a``, and two concurrent misses merely build twice.
+    """
+    global _last_factor
+    a = as_matrix(a)
+    last = _last_factor
+    if last is not None and np.array_equal(last.matrix, a):
+        return last
+    # Drop the slot's and this frame's references to the old factor first,
+    # so they do not keep it alive while the new one is built.
+    del last
+    _last_factor = None
+    factor = ProjectorFactor(a)
+    _last_factor = factor
+    return factor
+
+
 def min_norm_solution(a, x) -> np.ndarray:
     """Minimum Euclidean-norm solution Aᵀ(A·Aᵀ)⁻¹x of the wide system A·s = x."""
-    proj = ProjectorFactor(a)
+    proj = _factor_of(a)
     x = as_vector(x)
     if x.shape[0] != proj.source_dims[0]:
         raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {proj.source_dims[0]}")

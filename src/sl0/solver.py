@@ -28,7 +28,7 @@ from .errors import (
     TooManyActive,
     ZeroVector,
 )
-from .linalg import ProjectorFactor, as_matrix, as_vector, compute_M
+from .linalg import ProjectorFactor, _factor_of, as_matrix, as_vector, compute_M
 from .penalty import PenaltyFamily
 
 # Step factor, inner count and width sequence that the benchmark experiments
@@ -178,16 +178,31 @@ def _run_level(
     return s, inner
 
 
+def _projector_for(a, projector: ProjectorFactor | None) -> ProjectorFactor:
+    """``projector`` once checked against the shape of ``a``, or the factor
+    of ``a`` when none is given."""
+    if projector is None:
+        return _factor_of(a)
+    n, m = projector.source_dims
+    if np.shape(a) != (n, m):
+        raise DimensionMismatch(f"projector was built for a {n}x{m} matrix, got shape {np.shape(a)}")
+    return projector
+
+
 def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None) -> SolveReport:
     """Recover a sparse solution of the underdetermined system A·s = x.
 
-    ``projector`` lets callers reuse a prebuilt factorization of A·Aᵀ across
-    many right-hand sides; when omitted one is built (and row rank checked)
-    here.
+    The factorization of A·Aᵀ (with its row-rank check) is built on the
+    first call for a matrix and reused by later calls, from any caller,
+    while the matrix passed in equals it entry for entry; only the last
+    matrix's factor is kept. A caller alternating several matrices can build
+    one ``ProjectorFactor`` per matrix and pass it as ``projector``; it must
+    have been built for a matrix of the shape of ``a``. The estimate is the
+    same either way.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
-    proj = projector if projector is not None else ProjectorFactor(a)
+    proj = _projector_for(a, projector)
     n, m = proj.source_dims
     x = as_vector(x)
     if x.shape[0] != n:
@@ -224,12 +239,13 @@ def sl0_solve_batch(
     mode all columns advance together through matrix-shaped steps, so the
     per-sample cost drops well below that of repeated single solves. Each
     returned report carries the per-sample share of the batch wall time.
-    ``projector`` lets callers reuse one prebuilt factorization across
-    blocks, as in :func:`sl0_solve`.
+    Successive blocks on an unchanged matrix reuse its factorization, and
+    ``projector`` serves callers alternating several matrices, both as in
+    :func:`sl0_solve`.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
-    proj = projector if projector is not None else ProjectorFactor(a)
+    proj = _projector_for(a, projector)
     n, m = proj.source_dims
     x_block = as_matrix(x_block)
     if x_block.shape[0] != n:
@@ -291,7 +307,7 @@ def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = N
     """
     if gamma is None:
         gamma = PenaltyFamily("gaussian").derivative_bound
-    proj = ProjectorFactor(a)
+    proj = _factor_of(a)
     n, m = proj.source_dims
     if k >= n / 2.0:
         raise TooManyActive(f"need k < n/2 = {n / 2}, got k={k}")
@@ -326,7 +342,7 @@ def irls_solve(a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: flo
     starting from the minimum-norm solution. Each iterate is feasible by
     construction.
     """
-    proj = ProjectorFactor(a)
+    proj = _factor_of(a)
     n, _ = proj.source_dims
     x = as_vector(x)
     if x.shape[0] != n:

@@ -13,6 +13,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+import sl0.linalg
+
 
 def sparsest_by_enumeration(a: np.ndarray, x: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Sparsest solution of A·s = x by trying supports in order of size."""
@@ -72,3 +74,19 @@ def announce(capsys):
             print(line)
 
     return _print
+
+
+@pytest.fixture
+def factor_builds(monkeypatch):
+    """Empty the package's factor slot and record the matrix of every
+    ProjectorFactor built from then on; the fixture value is that list."""
+    built = []
+    original = sl0.linalg.ProjectorFactor.__init__
+
+    def counting_init(self, a):
+        built.append(np.array(a, dtype=float))
+        original(self, a)
+
+    monkeypatch.setattr(sl0.linalg, "_last_factor", None)
+    monkeypatch.setattr(sl0.linalg.ProjectorFactor, "__init__", counting_init)
+    return built

@@ -236,6 +236,13 @@ class TestSweeps:
         parallel = run_sweep(grid, runs=2, base_seed=17, base=base, jobs=2)
         assert drop_timing(parallel) == expected
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_one_factor_per_run_index(self, jobs, factor_builds):
+        base = SweepPoint(m=40, n=16, k=4)
+        run_sweep({"k": [2, 4]}, runs=2, base_seed=19, base=base, jobs=jobs)
+        assert len(factor_builds) == 2
+        assert not np.array_equal(factor_builds[0], factor_builds[1])
+
     def test_breakdown_gap_between_sparse_and_dense(self):
         """Slow-anneal recovery collapses between 80 and 240 active sources."""
         base = SweepPoint(exact_activation=True, schedule=None, sigma1=1.0, c=0.5, sigma_min=0.01)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import frobenius_left_inverse_norm, max_left_inverse_norm, unit_column_matrix
 from sl0.errors import DimensionMismatch, NotURP, ParseError, RankDeficient, TooLarge
+import sl0.linalg
 from sl0.linalg import (
     ProjectorFactor,
+    _factor_of,
     check_urp,
     compute_M,
     load_matrix,
@@ -161,6 +165,57 @@ class TestPrecomputedPseudoinverse:
         for s in (proj.min_norm(x), proj.project(10.0 * rng.standard_normal((m, 10)), x)):
             rel = np.linalg.norm(a @ s - x, axis=0) / np.linalg.norm(x, axis=0)
             assert np.max(rel) <= 1e-9
+
+
+class TestFactorCache:
+    """The one-slot factor cache is keyed on the matrix contents."""
+
+    def test_equal_contents_hit(self, factor_builds):
+        a = unit_column_matrix(np.random.default_rng(40), 6, 15)
+        first = _factor_of(a)
+        assert _factor_of(a.copy()) is first
+        assert _factor_of(a.tolist()) is first
+        assert len(factor_builds) == 1
+
+    def test_one_ulp_change_in_place_misses(self, factor_builds):
+        rng = np.random.default_rng(41)
+        a = unit_column_matrix(rng, 6, 15)
+        first = _factor_of(a)
+        a[2, 7] = np.nextafter(a[2, 7], np.inf)
+        second = _factor_of(a)
+        assert second is not first
+        assert np.array_equal(second.matrix, a)
+        assert len(factor_builds) == 2
+        x = rng.standard_normal(6)
+        s = min_norm_solution(a, x)
+        assert np.linalg.norm(a @ s - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_rank_deficient_leaves_nothing_to_hit(self, factor_builds):
+        good = unit_column_matrix(np.random.default_rng(42), 2, 3)
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        _factor_of(good)
+        for _ in range(2):
+            with pytest.raises(RankDeficient):
+                _factor_of(bad)
+            assert sl0.linalg._last_factor is None
+        assert np.array_equal(_factor_of(good).matrix, good)
+        assert len(factor_builds) == 4
+
+    def test_previous_factor_released_before_build(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        monkeypatch.setattr(sl0.linalg, "_last_factor", None)
+        previous = weakref.ref(_factor_of(unit_column_matrix(rng, 6, 15)))
+        alive_during_build = []
+        original = ProjectorFactor.__init__
+
+        def recording_init(self, a):
+            alive_during_build.append(previous() is not None)
+            original(self, a)
+
+        monkeypatch.setattr(ProjectorFactor, "__init__", recording_init)
+        _factor_of(unit_column_matrix(rng, 6, 15))
+        assert alive_during_build == [False]
+        assert previous() is None
 
 
 class TestProjectFeasible:

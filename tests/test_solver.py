@@ -1,5 +1,7 @@
 import csv
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_left_inverse_norm, one_sparse_instance, sparsest_by_enumeration, unit_column_matrix
-from sl0.errors import DimensionMismatch, ThresholdUnreachable, TooLarge, TooManyActive, ZeroVector
+from sl0.errors import (
+    DimensionMismatch,
+    RankDeficient,
+    ThresholdUnreachable,
+    TooLarge,
+    TooManyActive,
+    ZeroVector,
+)
 from sl0.linalg import ProjectorFactor, compute_M, min_norm_solution
 from sl0.penalty import PenaltyFamily
 from sl0.solver import (
@@ -311,7 +320,9 @@ class TestBatch:
 
 
     @pytest.mark.parametrize("mode", ["fixed", "threshold"])
-    def test_prebuilt_projector_gives_identical_estimates(self, mode):
+    def test_prebuilt_projector_gives_identical_estimates(self, mode, factor_builds):
+        """The factor built on the first block, reused for a later block on
+        an equal copy of A, and a prebuilt one give identical results."""
         if mode == "fixed":
             rng = np.random.default_rng(23)
             a = unit_column_matrix(rng, 6, 15)
@@ -322,14 +333,105 @@ class TestBatch:
             block = np.column_stack([STALL_X, 0.5 * STALL_X])
             cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold")
         proj = ProjectorFactor(a)
-        for scale in (1.0, -2.0):  # one factor serves successive blocks
-            own = sl0_solve_batch(a, scale * block, cfg)
+        for scale, a_given in ((1.0, a), (-2.0, a.copy())):  # one factor serves successive blocks
+            own = sl0_solve_batch(a_given, scale * block, cfg)
             shared = sl0_solve_batch(a, scale * block, cfg, projector=proj)
             for r_own, r_shared in zip(own, shared, strict=True):
                 assert np.array_equal(r_own.estimate, r_shared.estimate)
                 assert [(e.sigma, e.f_total, e.residual_norm) for e in r_own.trace] == [
                     (e.sigma, e.f_total, e.residual_norm) for e in r_shared.trace
                 ]
+            single = sl0_solve(a_given, scale * block[:, 0], cfg)
+            assert np.array_equal(single.estimate, sl0_solve(a, scale * block[:, 0], cfg, projector=proj).estimate)
+        assert len(factor_builds) == 2  # the prebuilt one and the first block's
+
+    @pytest.mark.parametrize("solve", [sl0_solve, sl0_solve_batch])
+    def test_projector_for_another_matrix_rejected(self, solve):
+        rng = np.random.default_rng(24)
+        a = unit_column_matrix(rng, 40, 100)
+        x = rng.standard_normal(3)  # fits the projector, not ``a``
+        proj = ProjectorFactor(unit_column_matrix(rng, 3, 6))
+        with pytest.raises(DimensionMismatch, match="3x6"):
+            solve(a, x if solve is sl0_solve else x[:, None], projector=proj)
+
+
+class TestFactorReuse:
+    """Calls without ``projector=`` build a factor only for a matrix whose
+    contents differ from the last one factored."""
+
+    def test_blocks_on_one_matrix_build_once(self, factor_builds):
+        rng = np.random.default_rng(25)
+        a = unit_column_matrix(rng, 6, 15)
+        for _ in range(5):
+            sl0_solve_batch(a, rng.standard_normal((6, 3)))
+        assert len(factor_builds) == 1
+
+    def test_distinct_matrices_build_each(self, factor_builds):
+        rng = np.random.default_rng(26)
+        for _ in range(3):
+            sl0_solve(unit_column_matrix(rng, 6, 15), rng.standard_normal(6))
+        assert len(factor_builds) == 3
+
+    def test_one_ulp_change_in_place_refactors(self, factor_builds):
+        rng = np.random.default_rng(27)
+        a = unit_column_matrix(rng, 40, 100)
+        block = rng.standard_normal((40, 5))
+        sl0_solve_batch(a, block)
+        a[11, 42] = np.nextafter(a[11, 42], -np.inf)
+        reports = sl0_solve_batch(a, block)
+        assert len(factor_builds) == 2
+        estimates = np.column_stack([r.estimate for r in reports])
+        rel = np.linalg.norm(a @ estimates - block, axis=0) / np.linalg.norm(block, axis=0)
+        assert np.max(rel) <= 1e-9
+        single = sl0_solve(a, block[:, 0]).estimate
+        assert np.linalg.norm(a @ single - block[:, 0]) <= 1e-9 * np.linalg.norm(block[:, 0])
+        assert len(factor_builds) == 2
+
+    def test_rank_deficient_raises_on_every_call(self, factor_builds):
+        bad = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])
+        for _ in range(3):
+            with pytest.raises(RankDeficient):
+                sl0_solve(bad, np.array([1.0, 2.0]))
+        assert len(factor_builds) == 3
+        report = sl0_solve(TINY_A, TINY_X)
+        assert np.linalg.norm(TINY_A @ report.estimate - TINY_X) <= 1e-9
+
+    def test_threads_alternating_two_matrices(self):
+        """Four threads, more than the cores, take turns with two matrices
+        through the one slot; each block gets exactly the estimates of its
+        own matrix."""
+        rng = np.random.default_rng(28)
+        mats = [unit_column_matrix(rng, 6, 15), unit_column_matrix(rng, 6, 15)]
+        blocks = [rng.standard_normal((6, 3)), rng.standard_normal((6, 3))]
+        expected = [
+            np.column_stack([r.estimate for r in sl0_solve_batch(a, x, projector=ProjectorFactor(a))])
+            for a, x in zip(mats, blocks)
+        ]
+        mismatches = []
+
+        def worker(first):
+            for i in range(40):
+                which = (first + i) % 2
+                try:
+                    reports = sl0_solve_batch(mats[which], blocks[which])
+                except Exception as exc:  # reported through the assertion below
+                    mismatches.append((first, i, repr(exc)))
+                    continue
+                if not np.array_equal(np.column_stack([r.estimate for r in reports]), expected[which]):
+                    mismatches.append((first, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(first % 2,)) for first in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
 
 
 class TestSigmaFloorNoisy:
