@@ -7,8 +7,10 @@ time drops with the batch width and then flattens. Every block is mixed by
 one matrix, as a caller streaming blocks of one mixture would send them, so
 the library factors it on the first block only and reuses the factor after.
 
-Each width is timed on REPEATS fresh blocks; the median is reported, so the
-one block that pays the factorization does not set it.
+One untimed warm-up block pays the factorization and the process's first
+calls. Each width is then timed on fresh blocks, enough to cover at least
+MIN_SAMPLES samples and never fewer than MIN_BLOCKS blocks; the median per
+sample is reported.
 
 Run:
     python scripts/batch_timing.py --widths 1,5,10,100,1000 --out batch_timing.csv
@@ -16,6 +18,7 @@ Run:
 
 import argparse
 import csv
+import math
 import statistics
 import time
 
@@ -23,7 +26,8 @@ import numpy as np
 
 from sl0 import MixingSpec, SourceModel, generate_problem, sl0_solve_batch
 
-REPEATS = 5
+MIN_SAMPLES = 100
+MIN_BLOCKS = 5
 
 
 def main() -> None:
@@ -41,14 +45,18 @@ def main() -> None:
     a, _, _ = generate_problem(model, spec, args.seed)
     rng = np.random.default_rng(args.seed + 1)
 
+    def draw_block(t_count: int) -> np.ndarray:
+        active = rng.random((args.m, t_count)) < args.k / args.m
+        sources = np.where(active, 1.0, 0.0) * rng.standard_normal((args.m, t_count))
+        return a @ sources + 0.01 * rng.standard_normal((args.n, t_count))
+
+    sl0_solve_batch(a, draw_block(1))
     widths = [int(v) for v in args.widths.split(",")]
     results = []
     for t_count in widths:
         per_sample = []
-        for _ in range(REPEATS):
-            active = rng.random((args.m, t_count)) < args.k / args.m
-            sources = np.where(active, 1.0, 0.0) * rng.standard_normal((args.m, t_count))
-            x_block = a @ sources + 0.01 * rng.standard_normal((args.n, t_count))
+        for _ in range(max(MIN_BLOCKS, math.ceil(MIN_SAMPLES / t_count))):
+            x_block = draw_block(t_count)
             started = time.perf_counter()
             sl0_solve_batch(a, x_block)
             per_sample.append((time.perf_counter() - started) / t_count)

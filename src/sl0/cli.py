@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="KEY=V1,V2,...",
         help="sweep a parameter over listed values; repeatable, cartesian product",
     )
-    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent trials (default: 1)")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="concurrent run indices (default: 1)")
     p_sweep.add_argument("--out", default="sweep.csv", help="summary CSV (default: sweep.csv)")
     p_sweep.add_argument("--per-trial", default=None, help="also write a long-format per-trial CSV here")
     p_sweep.set_defaults(func=cmd_sweep)

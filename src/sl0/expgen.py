@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
 from .linalg import _factor_of
 from .penalty import PenaltyFamily
-from .solver import DEFAULT_SCHEDULE, SolverConfig, irls_solve, sl0_solve
+from .solver import DEFAULT_SCHEDULE, SolverConfig, _anneal_block, irls_solve, sl0_solve
 
 # Cap applied when the estimate is (numerically) exact, so averages of
 # decibel values stay finite in noiseless exact-recovery regimes.
@@ -238,7 +238,10 @@ def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x, projector=None
         )
     else:
         raise ValueError(f"unknown solver {point.solver!r}; choose sl0 or irls")
-    wall = time.perf_counter() - started
+    return _score(s_true, estimate, time.perf_counter() - started, run_index)
+
+
+def _score(s_true, estimate, wall: float, run_index: int) -> TrialResult:
     return TrialResult(snr_db(s_true, estimate), mse(s_true, estimate), wall, run_index)
 
 
@@ -278,19 +281,28 @@ def run_sweep(
 
     Grid points of one run index that share (n, m) share its matrix, which
     is drawn and factored once for all of them; the solve times exclude that
-    factorization. Run indices are taken one at a time, with the solves of
-    one index spread over ``jobs`` threads.
+    factorization. Of those, the sl0 points in fixed mode that also share
+    family, mu and L are annealed in lockstep as one n×T block, each column
+    on its own point's widths, like :func:`sl0_solve_batch`; the time of
+    each is its share of the block's wall time, the block's time divided by
+    T. IRLS and threshold-mode points are solved one at a time. ``jobs``
+    threads run whole run indices, so the blocks are the same at any
+    ``jobs``; each index in flight keeps one factor per (n, m) alive, about
+    jobs·2·n·m·8 bytes for a grid of one shape.
     """
     base = base or SweepPoint()
     if runs < 1:
         raise ValueError("runs must be at least 1")
     points = _grid_points(grid, base)
 
+    def one_index(run_index: int) -> list:
+        return _sweep_run_index(points, run_index, base_seed)
+
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            by_run = [_sweep_run_index(points, r, base_seed, pool.map) for r in range(runs)]
+            by_run = list(pool.map(one_index, range(runs)))
     else:
-        by_run = [_sweep_run_index(points, r, base_seed, map) for r in range(runs)]
+        by_run = [one_index(r) for r in range(runs)]
 
     rows = []
     trial_rows = []
@@ -324,22 +336,27 @@ def run_sweep(
     return rows
 
 
-def _sweep_run_index(points, run_index: int, base_seed: int, map_fn) -> list:
+def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     """Trial outcomes (TrialResult or the Sl0Error raised) of one run index
     at every grid point.
 
-    The problems are drawn here, on the calling thread: the first grid point
-    of each (n, m) draws the whole problem and factors its matrix, and the
-    others draw only their sources and noise on that matrix, so every
-    problem is bit-identical to :func:`generate_problem` at the trial seed.
-    ``map_fn`` runs the solves. The factors live only until this returns,
-    except the last one built, which stays in the package's factor slot
-    until the next run index factors its matrix.
+    The first grid point of each (n, m) draws the whole problem and factors
+    its matrix, and the others draw only their sources and noise on that
+    matrix, so every problem is bit-identical to :func:`generate_problem` at
+    the trial seed. The sl0 points in fixed mode that share (n, m, family,
+    mu, L) are then annealed as one block, each column on its own point's
+    widths, and each is timed at its share of the block's wall time; the
+    other points are solved one at a time. The factors live only until this
+    returns, except the last one built, which stays in the package's factor
+    slot until another matrix is factored.
     """
     seed = base_seed + run_index
     shared: dict[tuple[int, int], tuple] = {}
-    trials = []
-    for _, point in points:
+    problems = []
+    outcomes: list = [None] * len(points)
+    blocks: dict[tuple, list[int]] = {}
+    singles = []
+    for i, (_, point) in enumerate(points):
         model = point.source_model()
         key = (point.n, point.m)
         if key in shared:
@@ -352,18 +369,34 @@ def _sweep_run_index(points, run_index: int, base_seed: int, map_fn) -> list:
             except Sl0Error as exc:
                 factor = exc
             shared[key] = (a, factor)
-        trials.append((point, a, s_true, x, factor))
-
-    def _one(trial):
-        point, a, s_true, x, factor = trial
+        problems.append((a, s_true, x, factor))
         if isinstance(factor, Sl0Error):
-            return factor
-        try:
-            return _solve_trial(point, run_index, a, s_true, x, factor)
-        except Sl0Error as exc:
-            return exc
+            outcomes[i] = factor
+        elif point.solver == "sl0" and point.mode == "fixed":
+            blocks.setdefault(key + (point.family, point.mu, point.L), []).append(i)
+        else:
+            singles.append(i)
 
-    return list(map_fn(_one, trials))
+    for members in blocks.values():
+        factor = problems[members[0]][3]
+        x_block = np.column_stack([problems[i][2] for i in members])
+        cfgs = [points[i][1].solver_config() for i in members]
+        started = time.perf_counter()
+        reports = _anneal_block(factor, x_block, cfgs)
+        per_sample = (time.perf_counter() - started) / len(members)
+        for i, report in zip(members, reports):
+            outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
+    for i in singles:
+        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, *problems[i])
+    return outcomes
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the Sl0Error it raised."""
+    try:
+        return fn(*args)
+    except Sl0Error as exc:
+        return exc
 
 
 def _format_cell(v) -> str:

@@ -11,6 +11,7 @@ matrix products with no factorization or triangular solve per call.
 
 from __future__ import annotations
 
+import io
 import math
 from itertools import combinations
 from pathlib import Path
@@ -227,44 +228,37 @@ def compute_M(a) -> float:
 # are written with 17 significant digits so doubles round-trip exactly.
 
 
-def _format_row(row: np.ndarray) -> str:
-    return " ".join(f"{v:.17g}" for v in row)
-
-
 def save_matrix(path, a) -> None:
     a = as_matrix(a)
-    rows, cols = a.shape
-    lines = [f"{rows} {cols}"]
-    lines.extend(_format_row(row) for row in a)
-    Path(path).write_text("\n".join(lines) + "\n")
+    np.savetxt(path, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
 
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    text = path.read_text()
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    with path.open() as fh:
+        head = next((ln for ln in fh if ln.strip()), None)
+        body = fh.read()
+    if head is None:
         raise ParseError(f"{path}: empty file")
-    header = lines[0].split()
+    header = head.split()
     if len(header) != 2:
-        raise ParseError(f"{path}: header must be 'rows cols', got {lines[0]!r}")
+        raise ParseError(f"{path}: header must be 'rows cols', got {head.strip()!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
     except ValueError:
-        raise ParseError(f"{path}: non-integer header {lines[0]!r}") from None
+        raise ParseError(f"{path}: non-integer header {head.strip()!r}") from None
     if rows < 1 or cols < 1:
         raise ParseError(f"{path}: dimensions must be positive, got {rows}x{cols}")
-    if len(lines) - 1 != rows:
-        raise ParseError(f"{path}: expected {rows} data rows, found {len(lines) - 1}")
-    data = np.empty((rows, cols), dtype=float)
-    for i, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != cols:
-            raise ParseError(f"{path}: row {i + 1} has {len(fields)} entries, expected {cols}")
-        try:
-            data[i] = [float(f) for f in fields]
-        except ValueError as exc:
-            raise ParseError(f"{path}: row {i + 1}: {exc}") from None
+    if not body.strip():
+        raise ParseError(f"{path}: expected {rows} data rows, found 0")
+    try:
+        data = np.loadtxt(io.StringIO(body), ndmin=2, comments=None)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
+    if data.shape[0] != rows:
+        raise ParseError(f"{path}: expected {rows} data rows, found {data.shape[0]}")
+    if data.shape[1] != cols:
+        raise ParseError(f"{path}: rows have {data.shape[1]} entries, expected {cols}")
     if not np.all(np.isfinite(data)):
         raise ParseError(f"{path}: non-finite entries")
     return data

@@ -252,18 +252,32 @@ def sl0_solve_batch(
         raise DimensionMismatch(f"right-hand sides have length {x_block.shape[0]}, expected {n}")
     t_count = x_block.shape[1]
 
-    if cfg.mode != "fixed":
+    if cfg.mode == "fixed":
+        reports = _anneal_block(proj, x_block, [cfg] * t_count)
+    else:
         reports = [sl0_solve(a, x_block[:, t], cfg, projector=proj) for t in range(t_count)]
-        per_sample = (time.perf_counter() - started) / t_count
-        for rep in reports:
-            rep.wall_time = per_sample
-        return reports
+    per_sample = (time.perf_counter() - started) / t_count
+    for rep in reports:
+        rep.wall_time = per_sample
+    return reports
 
+
+def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[SolveReport]:
+    """Fixed-mode solves of every column of ``x_block`` in lockstep, column t
+    under ``cfgs[t]``.
+
+    The configs may differ in their widths but must share family, mu, L and
+    record_estimates; the first one's are used. A column whose schedule runs
+    out drops from the block, so each column gets exactly the steps of its
+    own solve. The reports carry no wall time.
+    """
+    cfg = cfgs[0]
     fam = cfg.family
+    t_count = x_block.shape[1]
     s_block = proj.min_norm(x_block)
     schedules = []
-    for t in range(t_count):
-        sched = cfg.resolve_schedule(s_block[:, t])
+    for t, col_cfg in enumerate(cfgs):
+        sched = col_cfg.resolve_schedule(s_block[:, t])
         schedules.append(sched if sched is not None else ())
         if sched is None:
             s_block[:, t] = 0.0
@@ -290,9 +304,7 @@ def sl0_solve_batch(
                     estimate=s_act[:, pos].copy() if cfg.record_estimates else None,
                 )
             )
-
-    per_sample = (time.perf_counter() - started) / t_count
-    return [SolveReport(s_block[:, t].copy(), traces[t], per_sample) for t in range(t_count)]
+    return [SolveReport(s_block[:, t].copy(), traces[t]) for t in range(t_count)]
 
 
 def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = None) -> float:

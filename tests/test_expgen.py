@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sl0.errors import DimensionMismatch, ZeroReference
+from sl0.errors import DimensionMismatch, Sl0Error, ZeroReference
 from sl0.expgen import (
     MixingSpec,
     SNR_CAP_DB,
@@ -144,6 +144,45 @@ class TestMetrics:
         assert nominal == pytest.approx(snr_row, abs=2.0)
 
 
+STAT_KEYS = ("snr_mean_db", "snr_std_db", "snr_min_db", "mse_mean")
+
+
+def rows_from_trials(grid: dict, base: SweepPoint, runs: int, base_seed: int) -> list[dict]:
+    """Summary rows rebuilt from run_trial, which draws every problem anew
+    and solves it alone."""
+    rows = []
+    for combo in product(*grid.values()):
+        overrides = dict(zip(grid, combo))
+        point = replace(base, **overrides)
+        good = []
+        for r in range(runs):
+            try:
+                good.append(run_trial(point, r, base_seed))
+            except Sl0Error:
+                pass
+        snrs = [t.snr_db for t in good]
+        rows.append(
+            dict(
+                overrides, runs=runs,
+                snr_mean_db=float(np.mean(snrs)), snr_std_db=float(np.std(snrs)),
+                snr_min_db=float(np.min(snrs)), mse_mean=float(np.mean([t.mse for t in good])),
+                failures=runs - len(good),
+            )
+        )
+    return rows
+
+
+def assert_rows_match(rows: list[dict], expected: list[dict]) -> None:
+    """Grid keys, run and failure counts equal; SNR and MSE statistics equal
+    to 1e-9 relative, the rounding gap between block and vector products."""
+    assert len(rows) == len(expected)
+    for row, want in zip(rows, expected):
+        exact = {key: v for key, v in row.items() if key not in STAT_KEYS + ("time_mean_s",)}
+        assert exact == {key: v for key, v in want.items() if key not in STAT_KEYS}
+        for key in STAT_KEYS:
+            assert row[key] == pytest.approx(want[key], rel=1e-9), key
+
+
 class TestSweeps:
     def test_single_point_single_run_matches_trial(self):
         base = SweepPoint(m=40, n=16, k=4, noise_sigma=0.01)
@@ -208,7 +247,8 @@ class TestSweeps:
     def test_shared_matrix_rows_match_uncached_solves(self):
         """Rows of a sweep that shares one factored matrix per run index and
         (n, m) equal rows rebuilt from generate_problem and sl0_solve, serial
-        and over two threads."""
+        and over two threads; the statistics to rounding, since the sweep
+        solves the points of one matrix as a block."""
         base = SweepPoint(m=40, n=16, k=4)
         grid = {"k": [2, 4], "noise_sigma": [0.0, 0.05], "n": [12, 16]}
         rows = run_sweep(grid, runs=2, base_seed=17, base=base)
@@ -229,12 +269,9 @@ class TestSweeps:
                 )
             )
 
-        def drop_timing(rows):
-            return [{key: v for key, v in row.items() if key != "time_mean_s"} for row in rows]
-
-        assert drop_timing(rows) == expected
+        assert_rows_match(rows, expected)
         parallel = run_sweep(grid, runs=2, base_seed=17, base=base, jobs=2)
-        assert drop_timing(parallel) == expected
+        assert_rows_match(parallel, expected)
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_factor_per_run_index(self, jobs, factor_builds):
@@ -242,6 +279,43 @@ class TestSweeps:
         run_sweep({"k": [2, 4]}, runs=2, base_seed=19, base=base, jobs=jobs)
         assert len(factor_builds) == 2
         assert not np.array_equal(factor_builds[0], factor_builds[1])
+
+    def test_runs_factor_once_each_with_threads(self, factor_builds):
+        base = SweepPoint(m=40, n=16, k=4)
+        run_sweep({"k": [2, 4], "noise_sigma": [0.0, 0.05]}, runs=3, base_seed=23, base=base, jobs=2)
+        assert len(factor_builds) == 3
+        assert len({m.tobytes() for m in factor_builds}) == 3
+
+    def test_block_columns_follow_their_own_widths(self):
+        """Points with different annealing factors share one block but keep
+        schedules of different lengths; each row matches its point solved
+        alone, and the points of the block share its time."""
+        base = SweepPoint(m=40, n=16, k=4, schedule=None)
+        grid = {"c": [0.5, 0.8, 0.95], "k": [2, 4]}
+        rows = run_sweep(grid, runs=2, base_seed=29, base=base)
+        assert_rows_match(rows, rows_from_trials(grid, base, runs=2, base_seed=29))
+        single = run_sweep(grid, runs=1, base_seed=29, base=base)
+        assert len({row["time_mean_s"] for row in single}) == 1
+
+    def test_mixed_solvers_and_modes_match_trials(self):
+        """IRLS and threshold-mode points are solved alone beside the blocks
+        of fixed-mode sl0 points, one block per L; every row matches the
+        per-trial results, failures of the threshold solves included."""
+        base = SweepPoint(m=40, n=16, k=4, exact_activation=True, noise_sigma=0.0, schedule=None)
+        grid = {"solver": ["sl0", "irls"], "mode": ["fixed", "threshold"], "k": [2, 4], "L": [2, 3]}
+        rows = run_sweep(grid, runs=3, base_seed=31, base=base)
+        assert_rows_match(rows, rows_from_trials(grid, base, runs=3, base_seed=31))
+        assert any(row["failures"] for row in rows if row["solver"] == "sl0" and row["mode"] == "threshold")
+
+    def test_all_zero_source_is_a_failure(self):
+        """A point with no active source scores no SNR; it fails alone and
+        its block partner is still solved."""
+        base = SweepPoint(m=40, n=16, k=4)
+        grid = {"k": [0, 4]}
+        rows, trials = run_sweep(grid, runs=2, base_seed=37, base=base, collect_trials=True)
+        assert [row["failures"] for row in rows] == [2, 0]
+        assert all("all-zero reference" in t["error"] for t in trials[:2])
+        assert_rows_match(rows[1:], rows_from_trials({"k": [4]}, base, runs=2, base_seed=37))
 
     def test_breakdown_gap_between_sparse_and_dense(self):
         """Slow-anneal recovery collapses between 80 and 240 active sources."""

@@ -362,6 +362,12 @@ class TestTextFormat:
         save_matrix(path, np.ones((2, 3)))
         assert path.read_text().splitlines()[0] == "2 3"
 
+    def test_file_bytes(self, tmp_path):
+        """Space-separated rows of 17 significant digits, one newline each."""
+        path = tmp_path / "a.mat"
+        save_matrix(path, [[0.1, -2.0, 1e-300], [3.0, 0.0, -0.0]])
+        assert path.read_bytes() == b"2 3\n0.10000000000000001 -2 1e-300\n3 0 -0\n"
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -372,6 +378,9 @@ class TestTextFormat:
             "2 2\n1 x\n3 4\n",
             "2 2\n1 nan\n3 4\n",
             "-1 2\n",
+            "2 2\n1 2\n3 4\n5 6\n",
+            "2 2\n# 1 2\n3 4\n",
+            "2 2\n1,2\n3 4\n",
         ],
     )
     def test_malformed_files(self, tmp_path, text):
