@@ -234,7 +234,7 @@ def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x, projector=None
         estimate = sl0_solve(a, x, point.solver_config(), projector=projector).estimate
     elif point.solver == "irls":
         estimate = irls_solve(
-            a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer
+            a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer, projector=projector
         )
     else:
         raise ValueError(f"unknown solver {point.solver!r}; choose sl0 or irls")

@@ -102,27 +102,43 @@ class ProjectorFactor:
         self.matrix.setflags(write=False)
         self.source_dims = (n, m)
 
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply Aᵀ(A·Aᵀ)⁻¹ to ``v`` (the Moore-Penrose pseudoinverse of A)."""
+    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Apply Aᵀ(A·Aᵀ)⁻¹ to ``v`` (the Moore-Penrose pseudoinverse of A),
+        writing into ``out`` when given."""
         v = np.asarray(v, dtype=float)
         if v.shape[0] != self.source_dims[0]:
             raise DimensionMismatch(
                 f"operand has leading dimension {v.shape[0]}, expected {self.source_dims[0]}"
             )
-        return self._pinv @ v
+        return np.matmul(self._pinv, v, out=out)
 
-    def project(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Project ``s`` onto {s : A·s = x}; fixes points already feasible."""
+    def project(
+        self, s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, residual: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Project ``s`` onto {s : A·s = x}; fixes points already feasible.
+
+        With ``out``, an array shaped like ``s``, the projection overwrites
+        ``s`` itself, which is returned, and ``out`` is left holding the
+        correction Aᵀ(A·Aᵀ)⁻¹(A·s − x) that was subtracted. ``residual``,
+        shaped like A·s, receives A·s − x in place of a new array. The
+        projection is bit-identical either way.
+        """
         s = np.asarray(s, dtype=float)
         if s.shape[0] != self.source_dims[1]:
             raise DimensionMismatch(
                 f"point has leading dimension {s.shape[0]}, expected {self.source_dims[1]}"
             )
-        return s - self._pinv @ (self.matrix @ s - x)
+        r = np.matmul(self.matrix, s, out=residual)
+        r -= x
+        if out is None:
+            return s - self._pinv @ r
+        s -= np.matmul(self._pinv, r, out=out)
+        return s
 
-    def min_norm(self, x: np.ndarray) -> np.ndarray:
-        """Minimum Euclidean-norm solution of A·s = x."""
-        return self.apply(x)
+    def min_norm(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Minimum Euclidean-norm solution of A·s = x, written into ``out``
+        when given."""
+        return self.apply(x, out=out)
 
     def pinv_frobenius_norm(self) -> float:
         """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹."""

@@ -61,41 +61,81 @@ class PenaltyFamily:
         """Constant gamma with |d/ds value(s, sigma)| < gamma / sigma for all s."""
         return _DERIVATIVE_BOUND[self.kind]
 
-    def value(self, s, sigma):
-        """Pointwise smoothing value in [0, 1]; equals 1 at s = 0."""
+    def value(self, s, sigma, out=None):
+        """Pointwise smoothing value in [0, 1]; equals 1 at s = 0.
+
+        ``out``, an array of the broadcast shape of ``s`` and ``sigma``,
+        receives the values in place of a new array; they are bit-identical
+        either way.
+        """
         _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
+        return _unwrap(self._value_into(s, sigma, _out_for(s, sigma, out)))
+
+    def _value_into(self, s, sigma, out):
         if self.kind == "gaussian":
-            return np.exp(-(s * s) / (2.0 * np.square(sigma)))
+            # exp(-(s·s) / (2σ²)): dividing by -2σ² rounds exactly as negating first.
+            np.multiply(s, s, out=out)
+            np.divide(out, -2.0 * np.square(sigma), out=out)
+            return np.exp(out, out=out)
         if self.kind == "triangular":
-            return np.clip(1.0 - np.abs(s) / sigma, 0.0, 1.0)
-        if self.kind == "truncated_hyperbolic":
-            return np.clip(1.0 - np.square(s / sigma), 0.0, 1.0)
-        sig2 = np.square(sigma)
-        return sig2 / (s * s + sig2)
+            np.divide(np.abs(s, out=out), sigma, out=out)
+        elif self.kind == "truncated_hyperbolic":
+            np.square(np.divide(s, sigma, out=out), out=out)
+        else:
+            sig2 = np.square(sigma)
+            np.multiply(s, s, out=out)
+            return np.divide(sig2, np.add(out, sig2, out=out), out=out)
+        return np.clip(np.subtract(1.0, out, out=out), 0.0, 1.0, out=out)
 
-    def total(self, s, sigma, axis=None):
-        """Sum of :meth:`value` over components (the smoothed inactive count)."""
-        return np.sum(self.value(s, sigma), axis=axis)
+    def total(self, s, sigma, axis=None, out=None):
+        """Sum of :meth:`value` over components (the smoothed inactive count).
 
-    def ascent_direction(self, s, sigma):
+        ``out`` is scratch for the values, as in :meth:`value`; the sum is
+        bit-identical with or without it.
+        """
+        return np.sum(self.value(s, sigma, out=out), axis=axis)
+
+    def ascent_direction(self, s, sigma, out=None):
         """Step -sigma²·∇ of :meth:`total`, componentwise.
 
         For the kinked families the derivative at |s| = sigma (and at 0 for
         the triangular one) is taken as 0, so the step vanishes there.
+        ``out``, as in :meth:`value`, receives the step bit for bit as the
+        allocating call gives it; only the rational family still allocates
+        one temporary then.
         """
         _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
+        out = _out_for(s, sigma, out)
         if self.kind == "gaussian":
-            return s * np.exp(-(s * s) / (2.0 * np.square(sigma)))
-        if self.kind == "triangular":
-            inside = np.abs(s / sigma) < 1.0
-            return np.where(inside, np.sign(s) * sigma, 0.0)
-        if self.kind == "truncated_hyperbolic":
-            inside = np.abs(s / sigma) < 1.0
-            return np.where(inside, 2.0 * s, 0.0)
-        sig2 = np.square(sigma)
-        return 2.0 * s * sig2 * sig2 / np.square(s * s + sig2)
+            np.multiply(s, self._value_into(s, sigma, out), out=out)
+        elif self.kind in ("triangular", "truncated_hyperbolic"):
+            inside = np.abs(np.divide(s, sigma, out=out), out=out) < 1.0
+            if self.kind == "triangular":
+                np.multiply(np.sign(s, out=out), sigma, out=out)
+            else:
+                np.multiply(2.0, s, out=out)
+            np.copyto(out, 0.0, where=~inside)
+        else:
+            sig2 = np.square(sigma)
+            numerator = 2.0 * s * sig2 * sig2
+            np.multiply(s, s, out=out)
+            np.square(np.add(out, sig2, out=out), out=out)
+            np.divide(numerator, out, out=out)
+        return _unwrap(out)
+
+
+def _out_for(s, sigma, out):
+    """``out``, or a new array of the broadcast shape of ``s`` and ``sigma``."""
+    if out is None:
+        out = np.empty(np.broadcast_shapes(s.shape, np.shape(sigma)))
+    return out
+
+
+def _unwrap(out):
+    """A 0-d result as a numpy scalar, as elementwise arithmetic returns it."""
+    return out if out.ndim else out[()]
 
 
 def family_names() -> tuple[str, ...]:

@@ -286,6 +286,15 @@ class TestSweeps:
         assert len(factor_builds) == 3
         assert len({m.tobytes() for m in factor_builds}) == 3
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_irls_points_reuse_the_run_index_factor(self, jobs, factor_builds):
+        """IRLS points solve on the factor their run index built for their
+        matrix, so the sweep builds one factor per matrix."""
+        base = SweepPoint(m=40, n=16, k=3)
+        run_sweep({"solver": ["sl0", "irls"], "n": [12, 16]}, runs=4, base_seed=41, base=base, jobs=jobs)
+        assert len(factor_builds) == 8
+        assert len({m.tobytes() for m in factor_builds}) == 8
+
     def test_block_columns_follow_their_own_widths(self):
         """Points with different annealing factors share one block but keep
         schedules of different lengths; each row matches its point solved

@@ -151,6 +151,33 @@ class TestPrecomputedPseudoinverse:
         twice = proj.project(once, x)
         assert np.linalg.norm(twice - once) <= 1e-12 * np.linalg.norm(once)
 
+    @pytest.mark.parametrize("t", [None, 1, 10])
+    def test_out_gives_the_allocating_values(self, t):
+        """min_norm into ``out`` and project in place on a leading slice of a
+        wider block, with ``out`` and ``residual`` slices too, as the solver
+        runs them, equal the allocating calls exactly."""
+        rng = np.random.default_rng(33)
+        a = unit_column_matrix(rng, 40, 100)
+        proj = ProjectorFactor(a)
+        tail = () if t is None else (t,)
+        x = rng.standard_normal((40, *tail))
+        s = 3.0 * rng.standard_normal((100, *tail))
+
+        def lead(rows):
+            return np.full((rows, 13), np.nan)[:, :t] if t else np.full(rows, np.nan)
+
+        out = lead(100)
+        assert proj.min_norm(x, out=out) is out
+        assert np.array_equal(out, proj.min_norm(x))
+
+        expected = proj.project(s, x)
+        point, step, residual = lead(100), lead(100), lead(40)
+        point[...] = s
+        assert proj.project(point, x, out=step, residual=residual) is point
+        assert np.array_equal(point, expected)
+        assert np.array_equal(s - step, expected)
+        assert np.array_equal(residual, a @ s - x)
+
     def test_feasible_on_ill_conditioned_matrix(self):
         """A·Aᵀ condition near 1e10, two decades under the cutoff: the
         minimum-norm solution and projections still meet A·s = x to 1e-9."""

@@ -127,6 +127,27 @@ class TestTotal:
         np.testing.assert_allclose(per_col, expected, rtol=1e-14)
 
 
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("per_column", [False, True], ids=["scalar_sigma", "column_sigma"])
+def test_out_gives_the_allocating_values(fam, per_column):
+    """value, total and ascent_direction written into ``out`` (here a
+    leading slice of a wider block, as the solver passes it) equal the
+    allocating call bit for bit, kinks and zeros included."""
+    rng = np.random.default_rng(3)
+    sig = rng.uniform(0.05, 2.0, 5) if per_column else 0.7
+    s = rng.standard_normal((40, 5))
+    s[:4] = 0.0
+    s[4:8] = np.broadcast_to(sig, (4, 5))
+    s[8:12] = -s[4:8]
+    for method in (fam.value, fam.ascent_direction):
+        out = np.full((40, 9), np.nan)[:, :5]
+        assert method(s, sig, out=out) is out
+        assert out.tobytes() == method(s, sig).tobytes()
+    scratch = np.empty((40, 5))
+    for axis in (None, 0):
+        assert fam.total(s, sig, axis=axis, out=scratch).tobytes() == fam.total(s, sig, axis=axis).tobytes()
+
+
 def fd_gradient_of_total(fam: PenaltyFamily, s: np.ndarray, sigma: float) -> np.ndarray:
     h = 1e-5 * sigma
     grad = np.zeros_like(s)

@@ -2,6 +2,7 @@ import csv
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -344,6 +345,56 @@ class TestBatch:
             single = sl0_solve(a_given, scale * block[:, 0], cfg)
             assert np.array_equal(single.estimate, sl0_solve(a, scale * block[:, 0], cfg, projector=proj).estimate)
         assert len(factor_builds) == 2  # the prebuilt one and the first block's
+
+    def test_caller_arrays_unchanged(self):
+        rng = np.random.default_rng(25)
+        a = unit_column_matrix(rng, 6, 15)
+        block = rng.standard_normal((6, 4)) * np.array([0.1, 1.0, 10.0, 1.0])
+        proj = ProjectorFactor(a)
+        saved = a.copy(), block.copy(), proj.matrix.copy()
+        for cfg in (SolverConfig(), SolverConfig(schedule=None)):  # one schedule, then sorted columns
+            sl0_solve_batch(a, block, cfg, projector=proj)
+            for before, after in zip(saved, (a, block, proj.matrix)):
+                assert np.array_equal(before, after)
+
+    def test_recorded_estimates_are_independent_copies(self):
+        """Per-level estimates of a block whose columns anneal over different
+        numbers of widths match the single solves and share no memory with
+        each other or with the final estimates."""
+        rng = np.random.default_rng(26)
+        a = unit_column_matrix(rng, 6, 15)
+        block = rng.standard_normal((6, 4)) * np.array([0.05, 1.0, 20.0, 1.0])
+        cfg = SolverConfig(schedule=None, c=0.5, sigma_min=0.01, record_estimates=True)
+        reports = sl0_solve_batch(a, block, cfg)
+        assert len({len(r.trace) for r in reports}) > 1
+        arrays = [r.estimate for r in reports] + [e.estimate for r in reports for e in r.trace]
+        for i, first in enumerate(arrays):
+            assert not any(np.shares_memory(first, other) for other in arrays[i + 1 :])
+        for t, report in enumerate(reports):
+            single = sl0_solve(a, block[:, t], cfg)
+            assert len(report.trace) == len(single.trace)
+            for got, want in zip(report.trace, single.trace):
+                assert np.linalg.norm(got.estimate - want.estimate) <= 1e-9
+
+    def test_second_block_allocates_no_step_temporaries(self):
+        """A fixed-mode block on a prebuilt factor peaks below 3.75·m·T
+        doubles of new memory: its workspaces ((2m + n)·T = 2.4·m·T here)
+        beside the traces it returns (≈ 0.9·m·T); the step and residual
+        blocks are freed before the estimates are copied out. One m×T
+        temporary per step would add m·T."""
+        n, m, t_count = 80, 200, 500
+        rng = np.random.default_rng(27)
+        a = unit_column_matrix(rng, n, m)
+        proj = ProjectorFactor(a)
+        block = a @ np.where(rng.random((m, t_count)) < 0.1, rng.standard_normal((m, t_count)), 0.0)
+        sl0_solve_batch(a, block, projector=proj)
+        tracemalloc.start()
+        try:
+            sl0_solve_batch(a, block, projector=proj)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.75 * m * t_count * 8
 
     @pytest.mark.parametrize("solve", [sl0_solve, sl0_solve_batch])
     def test_projector_for_another_matrix_rejected(self, solve):
