@@ -178,7 +178,7 @@ def cmd_solve(args) -> int:
     if final is not None:
         print(
             f"solved in {len(report.trace)} width levels; final F={final.f_total:.17g}, "
-            f"residual={final.residual_norm:.17g}, wall={report.wall_time:.17g}s"
+            f"residual={report.residual_norm:.17g}, wall={report.wall_time:.17g}s"
         )
     else:
         print("zero right-hand side: estimate is the zero vector")
@@ -202,7 +202,7 @@ def cmd_batch(args) -> int:
                         t,
                         f"{last.sigma:.17g}" if last else "",
                         f"{last.f_total:.17g}" if last else "",
-                        f"{last.residual_norm:.17g}" if last else "",
+                        f"{rep.residual_norm:.17g}",
                         sum(e.inner_iterations for e in rep.trace),
                         f"{rep.wall_time:.17g}",
                     ]

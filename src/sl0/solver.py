@@ -133,7 +133,15 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class LevelTrace:
-    """State at the end of one width level."""
+    """State at the end of one width level.
+
+    ``residual_norm`` is ‖A·(s − μ·Δ) − x‖ for the level's last ascent step
+    s → s − μ·Δ, taken before that step is projected back: how far the step
+    left the feasible set. The projection forms this residual anyway, so it
+    costs no extra product. A threshold level that takes no step reports
+    0.0. The feasibility of the returned estimate is
+    :attr:`SolveReport.residual_norm`.
+    """
 
     sigma: float
     f_total: float
@@ -144,11 +152,16 @@ class LevelTrace:
 
 @dataclass
 class SolveReport:
-    """Estimate plus the per-width trace of a single solve."""
+    """Estimate plus the per-width trace of a single solve.
+
+    ``residual_norm`` is ‖A·ŝ − x‖ of the returned estimate ŝ, measured once
+    after the last projection.
+    """
 
     estimate: np.ndarray
     trace: list[LevelTrace] = field(default_factory=list)
     wall_time: float = 0.0
+    residual_norm: float = 0.0
 
 
 def _projector_for(a, projector: ProjectorFactor | None) -> ProjectorFactor:
@@ -197,10 +210,11 @@ def _threshold_solve(proj: ProjectorFactor, x: np.ndarray, cfg: SolverConfig) ->
     s = proj.min_norm(x)
     schedule = cfg.resolve_schedule(s)
     if schedule is None:
-        return SolveReport(np.zeros(m))
+        s, schedule = np.zeros(m), ()
     target = cfg.target_f if cfg.target_f is not None else m - n / 2.0
     fam = cfg.family
     trace: list[LevelTrace] = []
+    r = np.empty(n)
     for sigma in schedule:
         inner = 0
         while fam.total(s, sigma) < target:
@@ -210,18 +224,18 @@ def _threshold_solve(proj: ProjectorFactor, x: np.ndarray, cfg: SolverConfig) ->
                     f"sigma={sigma:.6g}; the width sequence likely decreased too fast"
                 )
             s = s - cfg.mu * fam.ascent_direction(s, sigma)
-            s = proj.project(s, x)
+            s = proj.project(s, x, residual=r)
             inner += 1
         trace.append(
             LevelTrace(
                 sigma=float(sigma),
                 f_total=float(fam.total(s, sigma)),
-                residual_norm=float(np.linalg.norm(proj.matrix @ s - x)),
+                residual_norm=float(np.linalg.norm(r)) if inner else 0.0,
                 inner_iterations=inner,
                 estimate=s.copy() if cfg.record_estimates else None,
             )
         )
-    return SolveReport(s, trace)
+    return SolveReport(s, trace, residual_norm=float(np.linalg.norm(proj.matrix @ s - x)))
 
 
 def sl0_solve_batch(
@@ -270,9 +284,11 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     estimate is copied out and the columns still annealing are packed into
     a contiguous block, so each column gets exactly the steps of its own
     solve. Every step runs in place on three workspaces allocated once: the
-    m×T iterate block, an m×T step block and an n×T residual block. The
-    reports come back in the column order of ``x_block`` and carry no wall
-    time.
+    m×T iterate block, an m×T step block and an n×T residual block. Each
+    level's residual is the one its last projection formed; the columns
+    that finish together take one more product for their final residual.
+    The reports come back in the column order of ``x_block`` and carry no
+    wall time.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
@@ -299,15 +315,21 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     traces: list[list[LevelTrace]] = [[] for _ in range(t_count)]
     reports: list[SolveReport] = [None] * t_count
 
-    def finish(first: int, last: int) -> None:
+    def final_residuals(first: int, last: int) -> np.ndarray:
+        # One product, into the residual workspace, for the columns finishing together.
+        r = np.matmul(proj.matrix, s[:, first:last], out=r_buf[: n * (last - first)].reshape(n, last - first))
+        r -= x[:, first:last]
+        return _column_norms(r)
+
+    def finish(first: int, last: int, resid: np.ndarray) -> None:
         for pos in range(first, last):
-            reports[order[pos]] = SolveReport(s[:, pos].copy(), traces[pos])
+            reports[order[pos]] = SolveReport(s[:, pos].copy(), traces[pos], residual_norm=float(resid[pos - first]))
 
     active = t_count
     for level in range(len(schedules[0])):
         still = sum(len(sch) > level for sch in schedules[:active])
         if still < active:
-            finish(still, active)
+            finish(still, active, final_residuals(still, active))
             packed = step_buf[: m * still].reshape(m, still)
             packed[...] = s[:, :still]
             s, s_buf, step_buf, active = packed, step_buf, s_buf, still
@@ -321,10 +343,8 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
             s -= step
             proj.project(s, x_act, out=step, residual=r)
         f_tot = fam.total(s, sigmas, axis=0, out=step)
-        np.matmul(proj.matrix, s, out=r)
-        r -= x_act
-        # The column norms of A·s − x, summed as np.linalg.norm sums them.
-        resid = np.sqrt(np.add.reduce(np.multiply(r, r, out=r), axis=0))
+        # ``r`` still holds A·s − x of the last step before its projection.
+        resid = _column_norms(r)
         for pos in range(active):
             traces[pos].append(
                 LevelTrace(
@@ -335,10 +355,17 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
                     estimate=s[:, pos].copy() if cfg.record_estimates else None,
                 )
             )
+    resid = final_residuals(0, active)
     # Release the step and residual buffers before the last estimates are copied out.
     step_buf = r_buf = step = r = None
-    finish(0, active)
+    finish(0, active, resid)
     return reports
+
+
+def _column_norms(r: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the columns of ``r``, summed as np.linalg.norm
+    sums them; ``r`` is overwritten with its squares."""
+    return np.sqrt(np.add.reduce(np.multiply(r, r, out=r), axis=0))
 
 
 def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = None) -> float:
@@ -411,7 +438,9 @@ def irls_solve(
 
 def write_report_csv(report: SolveReport, path) -> None:
     """One row per width with columns sigma, F, residual, inner_iters, then a
-    summary row with the final values and the total inner-iteration count."""
+    summary row ``total`` with the final F, the final residual ‖A·ŝ − x‖ and
+    the total inner-iteration count. A width row's residual is that level's
+    pre-projection residual (see :class:`LevelTrace`)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["sigma", "F", "residual", "inner_iters"])
@@ -424,15 +453,11 @@ def write_report_csv(report: SolveReport, path) -> None:
                     entry.inner_iterations,
                 ]
             )
-        if report.trace:
-            last = report.trace[-1]
-            writer.writerow(
-                [
-                    "total",
-                    f"{last.f_total:.17g}",
-                    f"{last.residual_norm:.17g}",
-                    sum(e.inner_iterations for e in report.trace),
-                ]
-            )
-        else:
-            writer.writerow(["total", "", "", 0])
+        writer.writerow(
+            [
+                "total",
+                f"{report.trace[-1].f_total:.17g}" if report.trace else "",
+                f"{report.residual_norm:.17g}",
+                sum(e.inner_iterations for e in report.trace),
+            ]
+        )

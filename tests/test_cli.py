@@ -190,6 +190,34 @@ class TestBatchCommand:
         assert rows[0][0] == "column"
         assert len(rows) == 5
 
+    def test_reported_residuals_are_final_feasibility(self, tmp_path, capsys):
+        """The ``total`` row of ``solve`` and every ``final_residual`` of
+        ``batch`` give ‖A·ŝ − x‖ of the written estimates, not the last
+        level's pre-projection residual."""
+        assert run_cli(*gen_args(tmp_path, m=12, n=5, extra=["--noise-sigma", 0.01])) == 0
+        x = load_vector(tmp_path / "x.vec")
+        assert run_cli(
+            "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec",
+            "--out-estimate", tmp_path / "s_hat.vec", "--out-report", tmp_path / "report.csv",
+        ) == 0
+        with open(tmp_path / "report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[-1][0] == "total"
+        assert float(rows[-1][2]) <= 1e-9 * np.linalg.norm(x)
+        assert max(float(r[2]) for r in rows[1:-1]) > 1e-9 * np.linalg.norm(x)
+
+        block = np.column_stack([x, -3.0 * x, np.zeros_like(x)])
+        save_matrix(tmp_path / "X.mat", block)
+        assert run_cli(
+            "batch", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "X.mat", "--sigma1", "auto",
+            "--out-estimates", tmp_path / "S.mat", "--out-report", tmp_path / "r.csv",
+        ) == 0
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 3
+        for t, row in enumerate(rows):
+            assert float(row["final_residual"]) <= 1e-9 * np.linalg.norm(block[:, t])
+
 
 class TestSweepCommand:
     def test_single_point_matches_run_trial(self, tmp_path, capsys):

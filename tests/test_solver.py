@@ -23,6 +23,7 @@ from sl0.penalty import PenaltyFamily
 from sl0.solver import (
     DEFAULT_SCHEDULE,
     SolverConfig,
+    _anneal_block,
     auto_sigma1,
     error_upper_bound,
     geometric_schedule,
@@ -147,9 +148,26 @@ class TestSl0Solve:
         rng = np.random.default_rng(5)
         a = unit_column_matrix(rng, 10, 30)
         x = rng.standard_normal(10)
-        report = sl0_solve(a, x)
+        report = sl0_solve(a, x, SolverConfig(record_estimates=True))
         bound = 1e-8 * max(1.0, np.linalg.norm(x))
-        assert all(entry.residual_norm <= bound for entry in report.trace)
+        assert all(np.linalg.norm(a @ entry.estimate - x) <= bound for entry in report.trace)
+        assert report.residual_norm <= bound
+
+    @pytest.mark.parametrize("family", ["gaussian", "rational"])
+    def test_level_residual_is_pre_projection_residual(self, family):
+        """With one step per width, each level reports the residual of its
+        ascent step from the previous level's estimate, before projection."""
+        rng = np.random.default_rng(10)
+        a = unit_column_matrix(rng, 20, 50)
+        x = rng.standard_normal(20)
+        cfg = SolverConfig(family=PenaltyFamily(family), L=1, record_estimates=True)
+        report = sl0_solve(a, x, cfg)
+        prev = min_norm_solution(a, x)
+        for entry in report.trace:
+            stepped = prev - cfg.mu * cfg.family.ascent_direction(prev, entry.sigma)
+            assert entry.residual_norm == pytest.approx(np.linalg.norm(a @ stepped - x), rel=1e-9)
+            prev = entry.estimate
+        assert report.residual_norm <= 1e-9 * np.linalg.norm(x)
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)
@@ -271,6 +289,21 @@ class TestThresholdMode:
         with pytest.raises(ThresholdUnreachable):
             sl0_solve(STALL_A, STALL_X, cfg)
 
+    def test_level_without_steps_reports_zero_residual(self):
+        """Levels whose start already clears the target take no step and
+        report 0.0; the others report their last step's pre-projection
+        residual, far above rounding, and the estimate is feasible."""
+        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold", record_estimates=True)
+        report = sl0_solve(STALL_A, STALL_X, cfg)
+        idle = [e for e in report.trace if e.inner_iterations == 0]
+        stepped = [e for e in report.trace if e.inner_iterations > 0]
+        assert idle and stepped and report.trace[0].inner_iterations == 0
+        assert all(e.residual_norm == 0.0 for e in idle)
+        bound = 1e-9 * np.linalg.norm(STALL_X)
+        assert all(e.residual_norm > bound for e in stepped)
+        assert all(np.linalg.norm(STALL_A @ e.estimate - STALL_X) <= bound for e in report.trace)
+        assert report.residual_norm <= bound
+
     def test_explicit_target(self):
         cfg = SolverConfig(
             schedule=None, sigma1=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold", target_f=6 - (3 - 1)
@@ -375,6 +408,42 @@ class TestBatch:
             assert len(report.trace) == len(single.trace)
             for got, want in zip(report.trace, single.trace):
                 assert np.linalg.norm(got.estimate - want.estimate) <= 1e-9
+
+    def test_final_residual_of_mixed_length_blocks(self):
+        """Columns finishing at different levels, from auto widths or from
+        sweep-style per-column schedules, each get the residual of their own
+        final estimate."""
+        rng = np.random.default_rng(29)
+        a = unit_column_matrix(rng, 20, 50)
+        proj = ProjectorFactor(a)
+        block = rng.standard_normal((20, 6)) * np.array([0.05, 1.0, 20.0, 0.0, 3.0, 1.0])
+        auto = sl0_solve_batch(a, block, SolverConfig(schedule=None, c=0.5, sigma_min=0.01))
+        cfgs = [SolverConfig(schedule=None, sigma1=1.0, c=c, sigma_min=0.01) for c in (0.5, 0.8, 0.95)] * 2
+        swept = _anneal_block(proj, block, cfgs)
+        for reports in (auto, swept):
+            assert len({len(r.trace) for r in reports}) >= 3
+            for t, report in enumerate(reports):
+                x = block[:, t]
+                assert report.residual_norm <= 1e-9 * np.linalg.norm(x)
+                assert np.linalg.norm(a @ report.estimate - x) <= 1e-9 * np.linalg.norm(x)
+
+    def test_matrix_products_per_block(self, monkeypatch):
+        """A stock block costs one product for the start, two per step (7
+        widths, 3 steps each) and one for the final residual."""
+        rng = np.random.default_rng(30)
+        a = unit_column_matrix(rng, 20, 50)
+        proj = ProjectorFactor(a)
+        block = rng.standard_normal((20, 8))
+        calls = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", counting)
+        sl0_solve_batch(a, block, projector=proj)
+        assert len(calls) == 1 + 2 * 3 * len(DEFAULT_SCHEDULE) + 1
 
     def test_second_block_allocates_no_step_temporaries(self):
         """A fixed-mode block on a prebuilt factor peaks below 3.75·m·T
