@@ -10,7 +10,7 @@ class DimensionMismatch(Sl0Error):
 
 
 class RankDeficient(Sl0Error):
-    """A·Aᵀ is numerically singular (condition estimate above the cutoff)."""
+    """A·Aᵀ is numerically singular (1-norm condition number above the cutoff)."""
 
 
 class TooLarge(Sl0Error):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +117,55 @@ class TestProjectorFactor:
         a = unit_column_matrix(rng, 5, 11)
         expected = np.linalg.norm(a.T @ np.linalg.inv(a @ a.T))
         assert ProjectorFactor(a).pinv_frobenius_norm() == pytest.approx(expected, rel=1e-12)
+
+
+class TestExactCondition:
+    """``condition_estimate`` is the exact κ₁ = ‖A·Aᵀ‖₁·‖(A·Aᵀ)⁻¹‖₁, and the
+    cutoff rejects on it."""
+
+    def test_equals_numpy_one_norm_condition(self):
+        a = unit_column_matrix(np.random.default_rng(90), 40, 100)
+        expected = np.linalg.cond(a @ a.T, 1)
+        assert ProjectorFactor(a).condition_estimate == pytest.approx(expected, rel=1e-9)
+
+    @staticmethod
+    def diagonal_system(kappa):
+        """A = [diag(d) | 0] with Gram diag(d²), so κ₁ = max d² / min d² = kappa."""
+        d = np.array([1.0, np.sqrt(kappa), 2.0])
+        return np.hstack([np.diag(d), np.zeros((3, 4))])
+
+    def test_builds_just_below_cutoff(self):
+        a = self.diagonal_system(5e11)
+        proj = ProjectorFactor(a)
+        assert proj.condition_estimate == pytest.approx(5e11, rel=1e-12)
+        x = np.array([1.0, 2.0, 3.0])
+        expected = np.concatenate([x / np.diag(a), np.zeros(4)])
+        np.testing.assert_allclose(proj.min_norm(x), expected, rtol=1e-12, atol=0.0)
+
+    def test_rejects_just_above_cutoff(self):
+        with pytest.raises(RankDeficient, match="condition number"):
+            ProjectorFactor(self.diagonal_system(2e12))
+
+    def test_rejects_nan_condition(self):
+        """Finite entries whose Gram overflows pass the Cholesky test but
+        give a NaN condition number, which must not slip past the cutoff."""
+        a = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0]])
+        with np.errstate(all="ignore"), pytest.raises(RankDeficient, match="condition number nan"):
+            ProjectorFactor(a)
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone: importing them loads no
+    scipy module (and so no second BLAS thread pool)."""
+    src = Path(sl0.linalg.__file__).resolve().parents[1]
+    code = (
+        "import sys, sl0, sl0.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestPrecomputedPseudoinverse:
