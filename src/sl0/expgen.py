@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from itertools import product
 
@@ -298,9 +299,6 @@ def run_sweep(
         return _sweep_run_index(points, run_index, base_seed)
 
     if jobs > 1:
-        # Imported here: only this branch needs it, and it costs import time.
-        from concurrent.futures import ThreadPoolExecutor
-
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             by_run = list(pool.map(one_index, range(runs)))
     else:

@@ -58,19 +58,18 @@ class ProjectorFactor:
     """Precomputed pseudoinverse A⁺ = Aᵀ(A·Aᵀ)⁻¹ of a full-row-rank wide
     matrix A.
 
-    A⁺ is built once, after a Cholesky factorization of A·Aᵀ has shown it
-    positive definite and its inverse has passed the condition check. The
-    operations the solver iterates on are then two matrix products each: the
-    pseudoinverse action ``apply(v) = A⁺·v`` and the orthogonal projection of
-    a point onto the affine set {s : A·s = x}. Everything runs in numpy, so
-    the package uses one BLAS thread pool. Immutable after construction;
-    safe to share across concurrent solves.
+    A⁺ is built once, from the inverse of A·Aᵀ, after that inverse has passed
+    the condition check. The operations the solver iterates on are then two
+    matrix products each: the pseudoinverse action ``apply(v) = A⁺·v`` and the
+    orthogonal projection of a point onto the affine set {s : A·s = x}.
+    Everything runs in numpy, so the package uses one BLAS thread pool.
+    Immutable after construction; safe to share across concurrent solves.
 
     ``condition_estimate`` is the exact 1-norm condition number
     ‖A·Aᵀ‖₁·‖(A·Aᵀ)⁻¹‖₁, taken from the inverse the build needs anyway.
     Raises ``RankDeficient`` when it exceeds ``CONDITION_CUTOFF`` or is not
-    finite (or the Cholesky factorization fails outright), which also covers
-    the n > m case.
+    finite (or the inversion fails outright), which also covers the n > m
+    case.
     """
 
     def __init__(self, a) -> None:
@@ -80,12 +79,13 @@ class ProjectorFactor:
             raise RankDeficient(f"matrix is {n}x{m}; need n <= m for an underdetermined system")
         gram = a @ a.T
         try:
-            np.linalg.cholesky(gram)
+            gram_inv = np.linalg.inv(gram)
         except np.linalg.LinAlgError as exc:
-            raise RankDeficient(f"A*A^T is not positive definite: {exc}") from None
-        gram_inv = np.linalg.inv(gram)
+            raise RankDeficient(f"A*A^T is singular: {exc}") from None
         self.condition_estimate = float(np.linalg.norm(gram, 1) * np.linalg.norm(gram_inv, 1))
-        # Written so that a NaN condition number is rejected too.
+        # A·Aᵀ is positive semidefinite, so a numerically singular or
+        # indefinite Gram has κ₁ of order 1/eps and fails here; the test is
+        # written so that a NaN κ₁ fails too.
         if not self.condition_estimate <= CONDITION_CUTOFF:
             raise RankDeficient(
                 f"A*A^T condition number {self.condition_estimate:.3e} exceeds {CONDITION_CUTOFF:.0e}"

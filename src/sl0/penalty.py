@@ -41,9 +41,7 @@ class PenaltyFamily:
     """One of the four smoothing families, selected by ``kind``.
 
     All methods broadcast: ``s`` may be a scalar, a vector, or an m×T block,
-    and ``sigma`` a scalar or a per-column row of widths. They raise
-    ``NonPositiveSigma`` on a width that is not positive; ``check=False``
-    skips that test, for callers whose widths are positive by construction.
+    and ``sigma`` a scalar or a per-column row of widths.
     """
 
     kind: str = "gaussian"
@@ -63,15 +61,14 @@ class PenaltyFamily:
         """Constant gamma with |d/ds value(s, sigma)| < gamma / sigma for all s."""
         return _DERIVATIVE_BOUND[self.kind]
 
-    def value(self, s, sigma, out=None, *, check=True):
+    def value(self, s, sigma, out=None):
         """Pointwise smoothing value in [0, 1]; equals 1 at s = 0.
 
         ``out``, an array of the broadcast shape of ``s`` and ``sigma``,
         receives the values in place of a new array; they are bit-identical
         either way.
         """
-        if check:
-            _check_sigma(sigma)
+        _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
         return _unwrap(self._value_into(s, sigma, _out_for(s, sigma, out)))
 
@@ -91,15 +88,15 @@ class PenaltyFamily:
             return np.divide(sig2, np.add(out, sig2, out=out), out=out)
         return np.clip(np.subtract(1.0, out, out=out), 0.0, 1.0, out=out)
 
-    def total(self, s, sigma, axis=None, out=None, *, check=True):
+    def total(self, s, sigma, axis=None, out=None):
         """Sum of :meth:`value` over components (the smoothed inactive count).
 
         ``out`` is scratch for the values, as in :meth:`value`; the sum is
         bit-identical with or without it.
         """
-        return np.sum(self.value(s, sigma, out=out, check=check), axis=axis)
+        return np.sum(self.value(s, sigma, out=out), axis=axis)
 
-    def ascent_direction(self, s, sigma, out=None, *, check=True):
+    def ascent_direction(self, s, sigma, out=None):
         """Step -sigma²·∇ of :meth:`total`, componentwise.
 
         For the kinked families the derivative at |s| = sigma (and at 0 for
@@ -108,8 +105,7 @@ class PenaltyFamily:
         allocating call gives it; only the rational family still allocates
         one temporary then.
         """
-        if check:
-            _check_sigma(sigma)
+        _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
         out = _out_for(s, sigma, out)
         if self.kind == "gaussian":

@@ -146,11 +146,11 @@ class TestExactCondition:
         with pytest.raises(RankDeficient, match="condition number"):
             ProjectorFactor(self.diagonal_system(2e12))
 
-    def test_rejects_nan_condition(self):
-        """Finite entries whose Gram overflows pass the Cholesky test but
-        give a NaN condition number, which must not slip past the cutoff."""
+    def test_rejects_overflowing_gram(self):
+        """Finite entries whose Gram overflows to inf and NaN must not slip
+        past the cutoff, whichever way the inversion treats them."""
         a = np.array([[1e200, 1e200, 0.0], [1e200, -1e200, 0.0]])
-        with np.errstate(all="ignore"), pytest.raises(RankDeficient, match="condition number nan"):
+        with np.errstate(all="ignore"), pytest.raises(RankDeficient):
             ProjectorFactor(a)
 
 

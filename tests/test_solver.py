@@ -10,10 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import max_left_inverse_norm, one_sparse_instance, sparsest_by_enumeration, unit_column_matrix
-import sl0.penalty
 from sl0.errors import (
     DimensionMismatch,
-    NonPositiveSigma,
     RankDeficient,
     ThresholdUnreachable,
     TooLarge,
@@ -314,13 +312,9 @@ class TestThresholdMode:
         report = sl0_solve(STALL_A, STALL_X, cfg)
         assert all(entry.f_total >= 4.0 for entry in report.trace)
 
-
-class TestSmoothedMeasureCalls:
-    """Threshold mode evaluates the smoothed measure once per loop check,
-    and the solves check their widths once, where the schedule is built,
-    not at every step."""
-
-    def test_threshold_reuses_the_loop_check_for_the_trace(self, monkeypatch):
+    def test_trace_reuses_the_loop_check(self, monkeypatch):
+        """The smoothed measure is evaluated once per loop check, and each
+        level's F is the value of the check that ended it."""
         point = SweepPoint()
         a, _s, x = generate_problem(point.source_model(), point.mixing_spec(), 7)
         calls = []
@@ -339,26 +333,6 @@ class TestSmoothedMeasureCalls:
         assert sum(entry.inner_iterations for entry in report.trace) > 0
         for entry in report.trace:
             assert entry.f_total == float(cfg.family.total(entry.estimate, entry.sigma))
-
-    def test_solves_check_no_width_per_step(self, monkeypatch):
-        checked = []
-        original = sl0.penalty._check_sigma
-
-        def recording_check(sigma):
-            checked.append(sigma)
-            original(sigma)
-
-        monkeypatch.setattr(sl0.penalty, "_check_sigma", recording_check)
-        rng = np.random.default_rng(95)
-        a = unit_column_matrix(rng, 20, 50)
-        sl0_solve_batch(a, rng.standard_normal((20, 4)))
-        sl0_solve(STALL_A, STALL_X, SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold"))
-        assert checked == []
-        with pytest.raises(NonPositiveSigma):
-            PenaltyFamily("gaussian").total(np.ones(3), 0.0)
-        with pytest.raises(NonPositiveSigma):
-            PenaltyFamily("gaussian").ascent_direction(np.ones(3), np.array([1.0, -1.0, 1.0]))
-        assert len(checked) == 2
 
 
 class TestBatch:
