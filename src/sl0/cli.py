@@ -15,7 +15,8 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import replace
+import typing
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ EXIT_RANK_DEFICIENT = 4
 EXIT_THRESHOLD = 5
 EXIT_GUARD = 6
 
-_SCHEDULE_DEFAULT_HELP = ",".join(f"{v:g}" for v in solver.DEFAULT_SCHEDULE)
+_CONFIG = solver.SolverConfig
+_POINT = expgen.SweepPoint
+_SCHEDULE_DEFAULT_HELP = ",".join(f"{v:g}" for v in _CONFIG.schedule)
 
 
 def _default_seed() -> int:
@@ -80,8 +83,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
         choices=["gaussian", "triangular", "hyperbolic", "rational"],
-        default="gaussian",
-        help="smoothing family (default: gaussian)",
+        default=_CONFIG.family.kind,
+        help="smoothing family (default: %(default)s)",
     )
     p.add_argument(
         "--schedule",
@@ -95,51 +98,72 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="geometric start width, a number or 'auto' = twice the largest magnitude "
         "of the minimum-norm solution (default: auto)",
     )
-    p.add_argument("--c", type=float, default=None, help="geometric decrease factor in (0,1) (default: 0.5)")
-    p.add_argument("--sigma-min", type=float, default=None, help="geometric final width (default: 0.01)")
-    p.add_argument("--mu", type=float, default=2.5, help="step factor (default: 2.5)")
-    p.add_argument("--L", type=int, default=3, help="inner iterations per width in fixed mode (default: 3)")
+    p.add_argument(
+        "--c", type=float, default=None, help=f"geometric decrease factor in (0,1) (default: {_CONFIG.c})"
+    )
+    p.add_argument(
+        "--sigma-min", type=float, default=None, help=f"geometric final width (default: {_CONFIG.sigma_min})"
+    )
+    p.add_argument("--mu", type=float, default=_CONFIG.mu, help="step factor (default: %(default)s)")
+    p.add_argument(
+        "--L", type=int, default=_CONFIG.L, help="inner iterations per width in fixed mode (default: %(default)s)"
+    )
     p.add_argument(
         "--mode",
         choices=["fixed", "threshold"],
-        default="fixed",
+        default=_CONFIG.mode,
         help="inner-loop termination: fixed L steps, or iterate until the smoothed "
-        "measure reaches the target (default: fixed)",
+        "measure reaches the target (default: %(default)s)",
     )
     p.add_argument(
         "--target-F",
         dest="target_f",
         type=float,
-        default=None,
+        default=_CONFIG.target_f,
         help="threshold-mode target for the smoothed measure (default: m - n/2)",
     )
     p.add_argument(
         "--max-inner",
         type=int,
-        default=1000,
-        help="threshold-mode cap on inner iterations per width (default: 1000)",
+        default=_CONFIG.max_inner,
+        help="threshold-mode cap on inner iterations per width (default: %(default)s)",
     )
 
 
-def _solver_config(args) -> solver.SolverConfig:
+def _add_source_flags(p: argparse.ArgumentParser, sources, mixing) -> None:
+    """Source scales and sensor noise, with defaults read from the classes
+    ``sources`` (sigma_on, sigma_off) and ``mixing`` (noise_sigma)."""
+    p.add_argument(
+        "--sigma-on", type=float, default=sources.sigma_on, help="active-source scale (default: %(default)s)"
+    )
+    p.add_argument(
+        "--sigma-off", type=float, default=sources.sigma_off, help="inactive-source scale (default: %(default)s)"
+    )
+    p.add_argument(
+        "--noise-sigma", type=float, default=mixing.noise_sigma, help="sensor noise scale (default: %(default)s)"
+    )
+
+
+def _solver_fields(args) -> dict:
+    """The SolverConfig fields the solver flags set, as keyword arguments.
+
+    ``--schedule`` gives the widths. Otherwise any of ``--sigma1``, ``--c``
+    and ``--sigma-min`` switches to a geometric sequence, and those not given
+    keep their defaults. Each of the four is parsed whenever it is given, so
+    a malformed value fails every subcommand alike.
+    """
+    given = {name: getattr(args, name) for name in ("family", "mu", "L", "mode", "target_f", "max_inner")}
     if args.schedule is not None:
-        schedule = _parse_schedule(args.schedule)
-    elif args.sigma1 is not None or args.c is not None or args.sigma_min is not None:
-        schedule = None
-    else:
-        schedule = solver.DEFAULT_SCHEDULE
-    return solver.SolverConfig(
-        family=PenaltyFamily(args.family),
-        schedule=schedule,
-        sigma1=_parse_sigma1(args.sigma1) if args.sigma1 is not None else None,
-        c=args.c if args.c is not None else 0.5,
-        sigma_min=args.sigma_min if args.sigma_min is not None else 0.01,
-        mu=args.mu,
-        L=args.L,
-        mode=args.mode,
-        target_f=args.target_f,
-        max_inner=args.max_inner,
-    )
+        given["schedule"] = _parse_schedule(args.schedule)
+    if args.sigma1 is not None:
+        given["sigma1"] = _parse_sigma1(args.sigma1)
+    if args.c is not None:
+        given["c"] = args.c
+    if args.sigma_min is not None:
+        given["sigma_min"] = args.sigma_min
+    if args.schedule is None and given.keys() & expgen._GEOMETRIC_KEYS:
+        given["schedule"] = None
+    return given
 
 
 def cmd_gen(args) -> int:
@@ -171,7 +195,7 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     a = linalg.load_matrix(args.matrix)
     x = linalg.load_vector(args.rhs)
-    report = solver.sl0_solve(a, x, _solver_config(args))
+    report = solver.sl0_solve(a, x, _CONFIG(**_solver_fields(args)))
     _atomic_write(args.out_estimate, lambda p: linalg.save_vector(p, report.estimate))
     _atomic_write(args.out_report, lambda p: solver.write_report_csv(report, p))
     final = report.trace[-1] if report.trace else None
@@ -188,7 +212,7 @@ def cmd_solve(args) -> int:
 def cmd_batch(args) -> int:
     a = linalg.load_matrix(args.matrix)
     x_block = linalg.load_matrix(args.rhs)
-    reports = solver.sl0_solve_batch(a, x_block, _solver_config(args))
+    reports = solver.sl0_solve_batch(a, x_block, _CONFIG(**_solver_fields(args)))
     estimates = [rep.estimate for rep in reports]
 
     def _write_report(path) -> None:
@@ -214,54 +238,39 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-_VARY_CASTS = {
-    "m": int,
-    "n": int,
-    "k": int,
-    "L": int,
-    "max_inner": int,
-    "irls_iterations": int,
-    "c": float,
-    "sigma_min": float,
-    "sigma1": float,
-    "mu": float,
-    "noise_sigma": float,
-    "sigma_on": float,
-    "sigma_off": float,
-    "target_f": float,
-    "irls_p_norm": float,
-    "irls_regularizer": float,
-    "family": str,
-    "solver": str,
-    "mode": str,
-    "exact_activation": lambda v: v.lower() in ("1", "true", "yes"),
-}
+def _vary_casts() -> dict:
+    """The parser of one ``--vary`` value for each SweepPoint field a grid can
+    vary: every field but ``schedule``, whose values contain commas."""
+    hints = typing.get_type_hints(_POINT)
+    casts = {}
+    for f in fields(_POINT):
+        if not f.init or f.name == "schedule":
+            continue
+        kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
+        if kind is bool:
+            casts[f.name] = lambda v: v.lower() in ("1", "true", "yes")
+        else:
+            # A family stays a name, so the sweep rows print it as given.
+            casts[f.name] = str if kind is PenaltyFamily else kind
+    return casts
 
 
 def _parse_vary(items: list[str]) -> dict:
+    casts = _vary_casts()
     grid: dict = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"--vary expects KEY=V1,V2,..., got {item!r}")
         key, _, values = item.partition("=")
         key = key.strip()
-        if key not in _VARY_CASTS:
-            raise ValueError(f"cannot vary {key!r}; valid keys: {sorted(_VARY_CASTS)}")
-        grid[key] = [_VARY_CASTS[key](v) for v in values.split(",")]
+        if key not in casts:
+            raise ValueError(f"cannot vary {key!r}; valid keys: {sorted(casts)}")
+        grid[key] = [casts[key](v) for v in values.split(",")]
     return grid
 
 
 def cmd_sweep(args) -> int:
-    if args.schedule is not None:
-        schedule = _parse_schedule(args.schedule)
-        sigma1 = None
-    elif args.sigma1 is not None or args.c is not None or args.sigma_min is not None:
-        schedule = None
-        sigma1 = _parse_sigma1(args.sigma1) if args.sigma1 is not None else None
-    else:
-        schedule = solver.DEFAULT_SCHEDULE
-        sigma1 = None
-    base = expgen.SweepPoint(
+    base = _POINT(
         m=args.m,
         n=args.n,
         k=args.k,
@@ -269,23 +278,13 @@ def cmd_sweep(args) -> int:
         sigma_on=args.sigma_on,
         sigma_off=args.sigma_off,
         noise_sigma=args.noise_sigma,
-        family=args.family,
         solver=args.solver,
-        schedule=schedule,
-        sigma1=sigma1,
-        c=args.c if args.c is not None else 0.5,
-        sigma_min=args.sigma_min if args.sigma_min is not None else 0.01,
-        mu=args.mu,
-        L=args.L,
-        mode=args.mode,
-        target_f=args.target_f,
-        max_inner=args.max_inner,
+        **_solver_fields(args),
     )
     grid = _parse_vary(args.vary or [])
-    varies_geometric = any(key in expgen._GEOMETRIC_KEYS for key in grid)
-    if varies_geometric and base.schedule is not None and args.schedule is None:
+    if base.schedule is not None and args.schedule is None and grid.keys() & expgen._GEOMETRIC_KEYS:
         # Width-sequence sweeps run geometric mode; start width defaults to 1.
-        base = replace(base, schedule=None, sigma1=sigma1 if sigma1 is not None else 1.0)
+        base = replace(base, schedule=None, sigma1=1.0)
     result = expgen.run_sweep(
         grid, runs=args.runs, base_seed=args.seed, base=base, jobs=args.jobs, collect_trials=args.per_trial is not None
     )
@@ -319,9 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_gen.add_mutually_exclusive_group(required=True)
     group.add_argument("--p", type=float, help="activation probability per source")
     group.add_argument("--exact-k", type=int, help="activate exactly this many sources")
-    p_gen.add_argument("--sigma-on", type=float, default=1.0, help="active-source scale (default: 1.0)")
-    p_gen.add_argument("--sigma-off", type=float, default=0.0, help="inactive-source scale (default: 0.0)")
-    p_gen.add_argument("--noise-sigma", type=float, default=0.0, help="sensor noise scale (default: 0.0)")
+    _add_source_flags(p_gen, expgen.SourceModel, expgen.MixingSpec)
     p_gen.add_argument("--seed", type=int, default=_default_seed(), help="RNG seed (default: $SL0_SEED or 0)")
     p_gen.add_argument("--out-dir", default=".", help="output directory (default: .)")
     p_gen.set_defaults(func=cmd_gen)
@@ -345,16 +342,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter grid")
     p_sweep.add_argument("--runs", type=int, default=20, help="trials per grid point (default: 20)")
     p_sweep.add_argument("--seed", type=int, default=_default_seed(), help="base seed (default: $SL0_SEED or 0)")
-    p_sweep.add_argument("--m", type=int, default=1000, help="unknowns (default: 1000)")
-    p_sweep.add_argument("--n", type=int, default=400, help="equations (default: 400)")
-    p_sweep.add_argument("--k", type=int, default=100, help="expected active count (default: 100)")
+    p_sweep.add_argument("--m", type=int, default=_POINT.m, help="unknowns (default: %(default)s)")
+    p_sweep.add_argument("--n", type=int, default=_POINT.n, help="equations (default: %(default)s)")
+    p_sweep.add_argument("--k", type=int, default=_POINT.k, help="expected active count (default: %(default)s)")
     p_sweep.add_argument(
         "--exact-activation", action="store_true", help="activate exactly k sources instead of probability k/m"
     )
-    p_sweep.add_argument("--sigma-on", type=float, default=1.0, help="active-source scale (default: 1.0)")
-    p_sweep.add_argument("--sigma-off", type=float, default=0.0, help="inactive-source scale (default: 0.0)")
-    p_sweep.add_argument("--noise-sigma", type=float, default=0.01, help="sensor noise scale (default: 0.01)")
-    p_sweep.add_argument("--solver", choices=["sl0", "irls"], default="sl0", help="solver (default: sl0)")
+    _add_source_flags(p_sweep, _POINT, _POINT)
+    p_sweep.add_argument(
+        "--solver", choices=["sl0", "irls"], default=_POINT.solver, help="solver (default: %(default)s)"
+    )
     _add_solver_flags(p_sweep)
     p_sweep.add_argument(
         "--vary",

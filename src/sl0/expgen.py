@@ -20,15 +20,14 @@ import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
 from .linalg import _factor_of
-from .penalty import PenaltyFamily
-from .solver import DEFAULT_SCHEDULE, SolverConfig, _anneal_block, irls_solve, sl0_solve
+from .solver import SolverConfig, _anneal_block, irls_solve, sl0_solve
 
 # Cap applied when the estimate is (numerically) exact, so averages of
 # decibel values stay finite in noiseless exact-recovery regimes.
@@ -146,31 +145,55 @@ def mse(s_true, s_est) -> float:
 
 
 def snr_db(s_true, s_est) -> float:
-    """20·log10(‖s‖ / ‖s - ŝ‖) in dB, capped at ``SNR_CAP_DB``."""
+    """20·log10(‖s‖ / ‖s - ŝ‖) in dB, capped at ``SNR_CAP_DB``.
+
+    Each norm is taken on its vector scaled by a power of two near its
+    largest magnitude. That scaling is exact, so the value is the plain
+    formula's bit for bit wherever no square under- or overflows, and it
+    stays accurate for vectors so small that their squares would.
+    """
     s_true = np.asarray(s_true, dtype=float)
     s_est = np.asarray(s_est, dtype=float)
     if s_true.shape != s_est.shape:
         raise DimensionMismatch(f"shape mismatch {s_true.shape} vs {s_est.shape}")
-    ref = float(np.linalg.norm(s_true))
+    ref, ref_exp = _scaled_norm(s_true)
     if ref == 0.0:
         raise ZeroReference("SNR is undefined for an all-zero reference")
-    err = float(np.linalg.norm(s_true - s_est))
+    err, err_exp = _scaled_norm(s_true - s_est)
     if err == 0.0:
         return SNR_CAP_DB
-    return min(SNR_CAP_DB, 20.0 * math.log10(ref / err))
+    shift = ref_exp - err_exp
+    if abs(shift) < 1000:
+        # The norm ratio (ref/err)·2**shift is a normal float: exact to rescale.
+        return min(SNR_CAP_DB, 20.0 * math.log10(math.ldexp(ref / err, shift)))
+    return min(SNR_CAP_DB, 20.0 * (math.log10(ref / err) + shift * math.log10(2.0)))
+
+
+def _scaled_norm(v: np.ndarray) -> tuple[float, int]:
+    """(x, e) with ‖v‖ = x·2**e, x taken on v·2**-e for e the binary
+    exponent of max|v_i|; (0.0, 0) for a zero vector."""
+    peak = float(np.max(np.abs(v)))
+    if peak == 0.0:
+        return 0.0, 0
+    exp = math.frexp(peak)[1]
+    return float(np.linalg.norm(np.ldexp(v, -exp))), exp
 
 
 @dataclass(frozen=True)
-class SweepPoint:
-    """One grid point of a sweep: problem shape, source statistics, and the
-    solver settings used on it.
+class SweepPoint(SolverConfig):
+    """One grid point of a sweep: the solver settings of a
+    :class:`SolverConfig` plus the problem shape, source statistics and
+    solver choice.
 
     ``k`` is the expected active count (activation probability k/m), drawn
-    exactly when ``exact_activation`` is set. Defaults are the benchmark
-    reference point: 1000 unknowns, 400 equations, 100 active sources, unit
-    active scale, 0.01 sensor noise, and the stock seven-width schedule.
+    exactly when ``exact_activation`` is set. ``solver`` picks sl0 or the
+    IRLS baseline, which reads the ``irls_*`` fields. Defaults are the
+    benchmark reference point: 1000 unknowns, 400 equations, 100 active
+    sources, unit active scale, 0.01 sensor noise, and the solver defaults.
+    Per-level estimates are never recorded in a sweep.
     """
 
+    record_estimates: bool = field(default=False, init=False)
     m: int = 1000
     n: int = 400
     k: int = 100
@@ -178,17 +201,7 @@ class SweepPoint:
     sigma_on: float = 1.0
     sigma_off: float = 0.0
     noise_sigma: float = 0.01
-    family: str = "gaussian"
     solver: str = "sl0"
-    schedule: tuple[float, ...] | None = DEFAULT_SCHEDULE
-    sigma1: float | None = None
-    c: float = 0.5
-    sigma_min: float = 0.01
-    mu: float = 2.5
-    L: int = 3
-    mode: str = "fixed"
-    target_f: float | None = None
-    max_inner: int = 1000
     irls_p_norm: float = 0.0
     irls_iterations: int = 50
     irls_regularizer: float = 1e-8
@@ -202,18 +215,8 @@ class SweepPoint:
         return MixingSpec(n=self.n, m=self.m, noise_sigma=self.noise_sigma)
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            family=PenaltyFamily(self.family),
-            schedule=self.schedule,
-            sigma1=self.sigma1,
-            c=self.c,
-            sigma_min=self.sigma_min,
-            mu=self.mu,
-            L=self.L,
-            mode=self.mode,
-            target_f=self.target_f,
-            max_inner=self.max_inner,
-        )
+        """The solver settings alone, as a plain :class:`SolverConfig`."""
+        return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
 
 
 # Grid keys that only take effect through a geometric schedule.
@@ -231,7 +234,7 @@ def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x, projector=None
     and score the estimate; the time covers the solve call only."""
     started = time.perf_counter()
     if point.solver == "sl0":
-        estimate = sl0_solve(a, x, point.solver_config(), projector=projector).estimate
+        estimate = sl0_solve(a, x, point, projector=projector).estimate
     elif point.solver == "irls":
         estimate = irls_solve(
             a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer, projector=projector
@@ -246,7 +249,7 @@ def _score(s_true, estimate, wall: float, run_index: int) -> TrialResult:
 
 
 def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
-    valid = {f.name for f in fields(SweepPoint)}
+    valid = {f.name for f in fields(SweepPoint) if f.init}
     for key in grid:
         if key not in valid:
             raise ValueError(f"unknown grid key {key!r}; valid keys: {sorted(valid)}")
@@ -293,6 +296,8 @@ def run_sweep(
     base = base or SweepPoint()
     if runs < 1:
         raise ValueError("runs must be at least 1")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     points = _grid_points(grid, base)
 
     def one_index(run_index: int) -> list:
@@ -380,9 +385,8 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     for members in blocks.values():
         factor = problems[members[0]][3]
         x_block = np.column_stack([problems[i][2] for i in members])
-        cfgs = [points[i][1].solver_config() for i in members]
         started = time.perf_counter()
-        reports = _anneal_block(factor, x_block, cfgs)
+        reports = _anneal_block(factor, x_block, [points[i][1] for i in members])
         per_sample = (time.perf_counter() - started) / len(members)
         for i, report in zip(members, reports):
             outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)

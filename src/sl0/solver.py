@@ -85,6 +85,7 @@ class SolverConfig:
     iterate when None), ``c`` and ``sigma_min``. ``mode`` is ``"fixed"``
     (L inner steps per width) or ``"threshold"`` (iterate until the smoothed
     measure reaches ``target_f``, default m - n/2, capped at ``max_inner``).
+    ``family`` may be given by name.
     """
 
     family: PenaltyFamily = PenaltyFamily("gaussian")
@@ -100,6 +101,8 @@ class SolverConfig:
     record_estimates: bool = False
 
     def __post_init__(self) -> None:
+        if isinstance(self.family, str):
+            object.__setattr__(self, "family", PenaltyFamily(self.family))
         if self.schedule is not None:
             object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         else:
@@ -184,22 +187,10 @@ def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFact
     matrix's factor is kept. A caller alternating several matrices can build
     one ``ProjectorFactor`` per matrix and pass it as ``projector``; it must
     have been built for a matrix of the shape of ``a``. The estimate is the
-    same either way.
+    same either way. This is :func:`sl0_solve_batch` on a block of one
+    column, so ``wall_time`` is the whole call's.
     """
-    cfg = cfg or SolverConfig()
-    started = time.perf_counter()
-    proj = _projector_for(a, projector)
-    n, m = proj.source_dims
-    x = as_vector(x)
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
-
-    if cfg.mode == "fixed":
-        report = _anneal_block(proj, x[:, None], [cfg])[0]
-    else:
-        report = _threshold_solve(proj, x, cfg)
-    report.wall_time = time.perf_counter() - started
-    return report
+    return sl0_solve_batch(a, as_vector(x)[:, None], cfg, projector=projector)[0]
 
 
 def _threshold_solve(proj: ProjectorFactor, x: np.ndarray, cfg: SolverConfig) -> SolveReport:
@@ -268,7 +259,7 @@ def sl0_solve_batch(
     if cfg.mode == "fixed":
         reports = _anneal_block(proj, x_block, [cfg] * t_count)
     else:
-        reports = [sl0_solve(a, x_block[:, t], cfg, projector=proj) for t in range(t_count)]
+        reports = [_threshold_solve(proj, x_block[:, t], cfg) for t in range(t_count)]
     per_sample = (time.perf_counter() - started) / t_count
     for rep in reports:
         rep.wall_time = per_sample

@@ -271,6 +271,84 @@ class TestSweepCommand:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, tmp_path, capsys, jobs):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--jobs", jobs, "--out", out) == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_invalid_solver_setting_rejected_for_irls(self, tmp_path, capsys):
+        """A sweep point is a solver configuration, so its settings are
+        checked when it is built, even for a sweep that runs only IRLS."""
+        out = tmp_path / "sweep.csv"
+        args = ["--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--solver", "irls", "--mu", 0, "--out", out]
+        assert run_cli("sweep", *args) == 2
+        assert "mu must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["schedule", "record_estimates"])
+    def test_unvaryable_keys(self, tmp_path, capsys, key):
+        assert run_cli("sweep", "--vary", f"{key}=1", "--out", tmp_path / "s.csv") == 2
+        listed = capsys.readouterr().err.split("valid keys: ")[1].strip()
+        assert listed == str(sorted(
+            ["L", "c", "exact_activation", "family", "irls_iterations", "irls_p_norm", "irls_regularizer", "k",
+             "m", "max_inner", "mode", "mu", "n", "noise_sigma", "sigma1", "sigma_min", "sigma_off", "sigma_on",
+             "solver", "target_f"]
+        ))
+
+    def test_vary_family_keeps_given_names(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = run_cli(
+            "sweep", "--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--seed", 4,
+            "--vary", "family=hyperbolic,rational", "--out", out,
+        )
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["family"] for r in rows] == ["hyperbolic", "rational"]
+        assert all(r["failures"] == "0" for r in rows)
+
+
+class TestSolverFlags:
+    @pytest.mark.parametrize("command", ["solve", "batch", "sweep"])
+    def test_malformed_sigma1_beside_schedule(self, tmp_path, capsys, command):
+        """Every subcommand parses ``--sigma1`` when it is given, even when
+        ``--schedule`` makes it unused."""
+        save_matrix(tmp_path / "A.mat", np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]]))
+        save_vector(tmp_path / "x.vec", [1.0, 2.0])
+        save_matrix(tmp_path / "X.mat", np.array([[1.0], [2.0]]))
+        out = tmp_path / "out"
+        inputs = {
+            "solve": ["--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec", "--out-estimate", out],
+            "batch": ["--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "X.mat", "--out-estimates", out],
+            "sweep": ["--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--out", out],
+        }[command]
+        assert run_cli(command, *inputs, "--schedule", "1,0.5", "--sigma1", "bogus") == 3
+        assert "sigma1 must be a number or 'auto'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flags_build_the_same_config_everywhere(self, tmp_path, capsys):
+        """``solve`` and a one-point ``sweep`` given the same solver flags
+        solve with the same settings: the sweep's trial equals a library
+        solve under the flags' SolverConfig."""
+        flags = ["--family", "rational", "--sigma1", "1.5", "--c", "0.7", "--mu", "2", "--L", "2"]
+        cfg = SolverConfig(family="rational", schedule=None, sigma1=1.5, c=0.7, mu=2.0, L=2)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--seed", 13, *flags, "--out", out) == 0
+        with open(out, newline="") as fh:
+            (row,) = list(csv.DictReader(fh))
+        a, s_true, x = generate_problem(SourceModel(m=30, p=0.1), MixingSpec(n=12, m=30, noise_sigma=0.01), 13)
+        assert float(row["snr_mean_db"]) == snr_db(s_true, sl0_solve(a, x, cfg).estimate)
+
+        save_matrix(tmp_path / "A.mat", a)
+        save_vector(tmp_path / "x.vec", x)
+        assert run_cli(
+            "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec", *flags,
+            "--out-estimate", tmp_path / "s_hat.vec", "--out-report", tmp_path / "r.csv",
+        ) == 0
+        np.testing.assert_array_equal(load_vector(tmp_path / "s_hat.vec"), sl0_solve(a, x, cfg).estimate)
+
 
 class TestBound:
     def test_sparse_estimate_zero_bound(self, tmp_path, capsys):
@@ -331,3 +409,8 @@ class TestHelp:
         if command in ("solve", "batch", "sweep"):
             assert "2.5" in text  # step factor default
             assert "1,0.5,0.2,0.1,0.05,0.02,0.01" in text  # stock schedule
+            for default in ("gaussian", "auto", "0.5", "0.01", "3", "fixed", "m - n/2", "1000"):
+                assert f"(default: {default})" in text
+        if command == "sweep":
+            for default in ("1000", "400", "100", "1.0", "0.0", "0.01", "sl0"):
+                assert f"(default: {default})" in text

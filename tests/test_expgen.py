@@ -1,10 +1,11 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl0.errors import DimensionMismatch, Sl0Error, ZeroReference
@@ -26,7 +27,8 @@ from sl0.expgen import (
     write_trials_csv,
 )
 from sl0.linalg import check_urp
-from sl0.solver import sl0_solve
+from sl0.penalty import PenaltyFamily
+from sl0.solver import SolverConfig, sl0_solve
 
 
 class TestSourceModel:
@@ -105,6 +107,18 @@ class TestMix:
             mix(np.ones((2, 3)), np.ones(4), 0.0, seed=0)
 
 
+def exact_snr_db(s, e) -> float:
+    """20·log10(‖s‖ / ‖s − ŝ‖) from exact rational sums of squares, so no
+    square under- or overflows; past the float range of the ratio the
+    logarithm is taken of its numerator and denominator apart."""
+    energy = sum(Fraction(v) ** 2 for v in s)
+    error = sum((Fraction(a) - Fraction(b)) ** 2 for a, b in zip(s, e))
+    ratio = energy / error
+    if Fraction(1, 10**300) < ratio < 10**300:
+        return 10.0 * math.log10(ratio)
+    return 10.0 * (math.log10(ratio.numerator) - math.log10(ratio.denominator))
+
+
 class TestMetrics:
     def test_documented_values(self):
         assert snr_db([1.0, 0.0], [0.9, 0.0]) == pytest.approx(20.0)
@@ -123,14 +137,17 @@ class TestMetrics:
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=10),
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=10),
     )
+    # Squared as floats, this s underflows into subnormals (s·s ≈ 8.7e-312).
+    @example(s_list=[0.0, 2.96e-156], e_list=[0.0, 0.0])
+    # ...and this one so far that ‖s‖ computed from s·s is off by 5e-7 dB.
+    @example(s_list=[0.0, 3.6996707262706764e-159], e_list=[0.0, 1.0])
     def test_snr_mse_consistency(self, s_list, e_list):
         m = min(len(s_list), len(e_list))
         s = np.asarray(s_list[:m])
         e = np.asarray(e_list[:m])
-        if np.linalg.norm(s) == 0.0 or mse(s, e) == 0.0:
+        if not np.any(s) or np.array_equal(s, e):
             return
-        expected = 10.0 * math.log10(np.dot(s, s) / (m * mse(s, e)))
-        assert snr_db(s, e) == pytest.approx(min(SNR_CAP_DB, expected), rel=1e-12)
+        assert snr_db(s, e) == pytest.approx(min(SNR_CAP_DB, exact_snr_db(s_list[:m], e_list[:m])), rel=1e-12)
 
     def test_reference_trace_row_self_consistency(self):
         """The reference final-row pair (MSE 5.53e-5, SNR 30.85 dB) implies a
@@ -142,6 +159,29 @@ class TestMetrics:
         assert 40.0 <= implied_energy <= 160.0
         nominal = 20.0 * math.log10(math.sqrt(100.0) / err)
         assert nominal == pytest.approx(snr_row, abs=2.0)
+
+
+class TestSweepPoint:
+    def test_is_a_solver_config(self):
+        point = SweepPoint(m=40, n=16, k=4, family="hyperbolic", schedule=None, c=0.8, mu=2.0)
+        assert isinstance(point, SolverConfig)
+        assert point.family == PenaltyFamily("truncated_hyperbolic")
+        cfg = point.solver_config()
+        assert type(cfg) is SolverConfig
+        assert cfg == SolverConfig(family="hyperbolic", schedule=None, c=0.8, mu=2.0)
+
+    def test_solver_settings_validated_when_built(self):
+        with pytest.raises(ValueError, match="mu"):
+            SweepPoint(solver="irls", mu=0.0)
+        with pytest.raises(ValueError, match="c must lie"):
+            replace(SweepPoint(schedule=None), c=1.5)
+
+    def test_estimates_never_recorded(self):
+        assert SweepPoint().record_estimates is False
+        with pytest.raises(TypeError):
+            SweepPoint(record_estimates=True)
+        with pytest.raises(ValueError, match="record_estimates"):
+            run_sweep({"record_estimates": [True]}, runs=1, base_seed=0)
 
 
 STAT_KEYS = ("snr_mean_db", "snr_std_db", "snr_min_db", "mse_mean")
@@ -220,6 +260,11 @@ class TestSweeps:
     def test_unknown_grid_key(self):
         with pytest.raises(ValueError):
             run_sweep({"bogus": [1]}, runs=1, base_seed=0)
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError, match="jobs"):
+            run_sweep({}, runs=1, base_seed=0, base=SweepPoint(m=30, n=12, k=3), jobs=jobs)
 
     def test_varying_width_keys_needs_geometric_base(self):
         with pytest.raises(ValueError):
