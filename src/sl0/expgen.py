@@ -284,11 +284,12 @@ def run_sweep(
 
     Grid points of one run index that share (n, m) share its matrix, which
     is drawn and factored once for all of them; the solve times exclude that
-    factorization. Of those, the sl0 points in fixed mode that also share
-    family, mu and L are annealed in lockstep as one n×T block, each column
-    on its own point's widths, like :func:`sl0_solve_batch`; the time of
-    each is its share of the block's wall time, the block's time divided by
-    T. IRLS and threshold-mode points are solved one at a time. ``jobs``
+    factorization. Of those, the sl0 points that also share family, mu, L,
+    mode, target_f and max_inner are annealed in lockstep as one n×T block,
+    each column on its own point's widths, like :func:`sl0_solve_batch`;
+    the time of each is its share of the block's wall time, the block's time
+    divided by T, and a threshold failure stays its own point's. IRLS points
+    are solved one at a time. ``jobs``
     threads run whole run indices, so the blocks are the same at any
     ``jobs``; each index in flight keeps one factor per (n, m) alive, about
     jobs·2·n·m·8 bytes for a grid of one shape.
@@ -348,12 +349,12 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     The first grid point of each (n, m) draws the whole problem and factors
     its matrix, and the others draw only their sources and noise on that
     matrix, so every problem is bit-identical to :func:`generate_problem` at
-    the trial seed. The sl0 points in fixed mode that share (n, m, family,
-    mu, L) are then annealed as one block, each column on its own point's
-    widths, and each is timed at its share of the block's wall time; the
-    other points are solved one at a time. The factors live only until this
-    returns, except the last one built, which stays in the package's factor
-    slot until another matrix is factored.
+    the trial seed. The sl0 points that share (n, m, family, mu, L, mode,
+    target_f, max_inner) are then annealed as one block, each column on its
+    own point's widths, and each is timed at its share of the block's wall
+    time; the IRLS points are solved one at a time. The factors live only
+    until this returns, except the last one built, which stays in the
+    package's factor slot until another matrix is factored.
     """
     seed = base_seed + run_index
     shared: dict[tuple[int, int], tuple] = {}
@@ -377,8 +378,9 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
         problems.append((a, s_true, x, factor))
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
-        elif point.solver == "sl0" and point.mode == "fixed":
-            blocks.setdefault(key + (point.family, point.mu, point.L), []).append(i)
+        elif point.solver == "sl0":
+            engine = (point.family, point.mu, point.L, point.mode, point.target_f, point.max_inner)
+            blocks.setdefault(key + engine, []).append(i)
         else:
             singles.append(i)
 
@@ -389,7 +391,10 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
         reports = _anneal_block(factor, x_block, [points[i][1] for i in members])
         per_sample = (time.perf_counter() - started) / len(members)
         for i, report in zip(members, reports):
-            outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
+            if isinstance(report, Sl0Error):
+                outcomes[i] = report
+            else:
+                outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
     for i in singles:
         outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, *problems[i])
     return outcomes

@@ -7,11 +7,11 @@ step ``s <- s - mu * delta`` followed by projection back onto the feasible
 set. Because each width is warm-started from the previous one, the iterate
 tracks the maximizer as the surrogate sharpens toward the true nonzero count.
 
-Two termination modes for the inner loop are supported: a fixed iteration
-count ``L`` (the fast default) and a threshold mode that iterates until the
-smoothed measure clears a target, which buys an a-posteriori error guarantee
-at the price of a possible ``ThresholdUnreachable`` error when the width
-sequence drops too fast.
+One lockstep engine anneals every solve, a single one as a block of one
+column. A width level ends after ``L`` steps (the fast default) or, in
+threshold mode, once the smoothed measure clears a target, which buys an
+a-posteriori error guarantee at the price of a possible
+``ThresholdUnreachable`` error when the width sequence drops too fast.
 """
 
 from __future__ import annotations
@@ -193,56 +193,20 @@ def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFact
     return sl0_solve_batch(a, as_vector(x)[:, None], cfg, projector=projector)[0]
 
 
-def _threshold_solve(proj: ProjectorFactor, x: np.ndarray, cfg: SolverConfig) -> SolveReport:
-    """Threshold-mode solve of one right-hand side: at each width, steps
-    until the smoothed measure reaches the target. The report carries no
-    wall time."""
-    n, m = proj.source_dims
-    s = proj.min_norm(x)
-    schedule = cfg.resolve_schedule(s)
-    if schedule is None:
-        s, schedule = np.zeros(m), ()
-    target = cfg.target_f if cfg.target_f is not None else m - n / 2.0
-    fam = cfg.family
-    trace: list[LevelTrace] = []
-    r = np.empty(n)
-    for sigma in schedule:
-        inner = 0
-        f_total = fam.total(s, sigma)
-        while f_total < target:
-            if inner >= cfg.max_inner:
-                raise ThresholdUnreachable(
-                    f"smoothed measure stuck below {target:.6g} after {inner} inner steps at "
-                    f"sigma={sigma:.6g}; the width sequence likely decreased too fast"
-                )
-            s = s - cfg.mu * fam.ascent_direction(s, sigma)
-            s = proj.project(s, x, residual=r)
-            inner += 1
-            f_total = fam.total(s, sigma)
-        trace.append(
-            LevelTrace(
-                sigma=float(sigma),
-                f_total=float(f_total),
-                residual_norm=float(np.linalg.norm(r)) if inner else 0.0,
-                inner_iterations=inner,
-                estimate=s.copy() if cfg.record_estimates else None,
-            )
-        )
-    return SolveReport(s, trace, residual_norm=float(np.linalg.norm(proj.matrix @ s - x)))
-
-
 def sl0_solve_batch(
     a, x_block, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None
 ) -> list[SolveReport]:
     """Solve one system per column of an n×T block of right-hand sides.
 
-    A single factorization of A·Aᵀ is shared across columns, and in fixed
-    mode all columns advance together through matrix-shaped steps, so the
-    per-sample cost drops well below that of repeated single solves. Each
-    returned report carries the per-sample share of the batch wall time.
-    A fixed-mode call works in place on (2m + n)·T doubles of workspace
-    (19.2 MB at 400×1000 and T = 1000), allocated once and freed when it
-    returns; the estimates it returns take m·T more.
+    A single factorization of A·Aᵀ is shared across columns, which advance
+    together through matrix-shaped steps, so the per-sample cost drops well
+    below that of repeated single solves; each estimate equals its single
+    solve to rounding, and in threshold mode the lowest column that cannot
+    reach the target raises its ``ThresholdUnreachable`` after the block.
+    Each returned report carries the per-sample share of the batch wall
+    time. A call works in place on (2m + n)·T doubles of workspace (19.2 MB
+    at 400×1000 and T = 1000), allocated once and freed when it returns; the
+    estimates it returns take m·T more.
     Successive blocks on an unchanged matrix reuse its factorization, and
     ``projector`` serves callers alternating several matrices, both as in
     :func:`sl0_solve`.
@@ -255,37 +219,41 @@ def sl0_solve_batch(
     if x_block.shape[0] != n:
         raise DimensionMismatch(f"right-hand sides have length {x_block.shape[0]}, expected {n}")
     t_count = x_block.shape[1]
-
-    if cfg.mode == "fixed":
-        reports = _anneal_block(proj, x_block, [cfg] * t_count)
-    else:
-        reports = [_threshold_solve(proj, x_block[:, t], cfg) for t in range(t_count)]
+    reports = _anneal_block(proj, x_block, [cfg] * t_count)
     per_sample = (time.perf_counter() - started) / t_count
     for rep in reports:
+        if isinstance(rep, ThresholdUnreachable):
+            raise rep
         rep.wall_time = per_sample
     return reports
 
 
-def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[SolveReport]:
-    """Fixed-mode solves of every column of ``x_block`` in lockstep, column t
-    under ``cfgs[t]``.
+def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[SolveReport | ThresholdUnreachable]:
+    """Solves of every column of ``x_block`` in lockstep, column t under
+    ``cfgs[t]``.
 
-    The configs may differ in their widths but must share family, mu, L and
-    record_estimates; the first one's are used. The columns are ordered by
-    schedule length, longest first, so the columns still annealing at each
-    level are the leading ones; when a column's schedule runs out, its
-    estimate is copied out and the columns still annealing are packed into
-    a contiguous block, so each column gets exactly the steps of its own
-    solve. Every step runs in place on three workspaces allocated once: the
-    m×T iterate block, an m×T step block and an n×T residual block. Each
-    level's residual is the one its last projection formed; the columns
-    that finish together take one more product for their final residual.
-    The reports come back in the column order of ``x_block`` and carry no
-    wall time.
+    The configs may differ in their widths but must share family, mu, L,
+    mode, target_f, max_inner and record_estimates; the first one's are
+    used. The columns are ordered by schedule length, longest first, so the
+    columns still annealing at each level are the leading ones; when a
+    column's schedule runs out, its estimate is copied out and the columns
+    still annealing are packed into a contiguous block. Every step runs in
+    place on three workspaces allocated once: the m×T iterate block, an m×T
+    step block and an n×T residual block. A fixed-mode level takes L steps.
+    A threshold-mode level steps until every column's smoothed measure,
+    evaluated on the block at each check, has reached the target; a column
+    that has reached it takes zero steps until the level ends, so each
+    column gets exactly the steps of its own solve. A column still below the
+    target after max_inner steps is frozen, and its report slot holds the
+    ``ThresholdUnreachable`` instead. Each level's residual is the one the
+    column's last projection formed; the columns that finish together take
+    one more product for their final residual. The reports come back in the
+    column order of ``x_block`` and carry no wall time.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
     n, m = proj.source_dims
+    target = cfg.target_f if cfg.target_f is not None else m - n / 2.0
     t_count = x_block.shape[1]
     # Flat buffers: k active columns are the C-ordered m×k (n×k) block at
     # the front of each, so every elementwise step runs on contiguous memory.
@@ -306,7 +274,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         x = x_block[:, order]
         schedules = [schedules[t] for t in order]
     traces: list[list[LevelTrace]] = [[] for _ in range(t_count)]
-    reports: list[SolveReport] = [None] * t_count
+    reports: list[SolveReport | ThresholdUnreachable | None] = [None] * t_count
 
     def final_residuals(first: int, last: int) -> np.ndarray:
         # One product, into the residual workspace, for the columns finishing together.
@@ -316,7 +284,9 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
 
     def finish(first: int, last: int, resid: np.ndarray) -> None:
         for pos in range(first, last):
-            reports[order[pos]] = SolveReport(s[:, pos].copy(), traces[pos], residual_norm=float(resid[pos - first]))
+            reports[order[pos]] = reports[order[pos]] or SolveReport(
+                s[:, pos].copy(), traces[pos], residual_norm=float(resid[pos - first])
+            )
 
     active = t_count
     for level in range(len(schedules[0])):
@@ -330,21 +300,44 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         r = r_buf[: n * active].reshape(n, active)
         x_act = x[:, :active]
         sigmas = np.array([sch[level] for sch in schedules[:active]])
-        for _ in range(cfg.L):
-            fam.ascent_direction(s, sigmas, out=step)
-            step *= mu
-            s -= step
-            proj.project(s, x_act, out=step, residual=r)
-        f_tot = fam.total(s, sigmas, axis=0, out=step)
-        # ``r`` still holds A·s − x of the last step before its projection.
-        resid = _column_norms(r)
+        if cfg.mode == "threshold":
+            f_tot = fam.total(s, sigmas, axis=0, out=step)
+            going = (f_tot < target) & np.array([reports[t] is None for t in order[:active]])
+            inner, resid = np.zeros(active, dtype=int), np.zeros(active)
+            while going.any():
+                if inner[going][0] == cfg.max_inner:  # the columns still going took every step
+                    for pos in np.flatnonzero(going):
+                        reports[order[pos]] = ThresholdUnreachable(
+                            f"smoothed measure stuck below {target:.6g} after {inner[pos]} inner steps at "
+                            f"sigma={sigmas[pos]:.6g}; the width sequence likely decreased too fast"
+                        )
+                    break
+                fam.ascent_direction(s, sigmas, out=step)
+                step *= mu * going
+                s -= step
+                proj.project(s, x_act, out=step, residual=r)
+                np.copyto(resid, _column_norms(r), where=going)
+                inner += going
+                f_now = fam.total(s, sigmas, axis=0, out=step)
+                np.copyto(f_tot, f_now, where=going)
+                going &= f_now < target
+        else:
+            for _ in range(cfg.L):
+                fam.ascent_direction(s, sigmas, out=step)
+                step *= mu
+                s -= step
+                proj.project(s, x_act, out=step, residual=r)
+            f_tot = fam.total(s, sigmas, axis=0, out=step)
+            # ``r`` still holds A·s − x of the last step before its projection.
+            resid = _column_norms(r)
+            inner = [cfg.L] * active
         for pos in range(active):
             traces[pos].append(
                 LevelTrace(
                     sigma=float(sigmas[pos]),
                     f_total=float(f_tot[pos]),
                     residual_norm=float(resid[pos]),
-                    inner_iterations=cfg.L,
+                    inner_iterations=int(inner[pos]),
                     estimate=s[:, pos].copy() if cfg.record_estimates else None,
                 )
             )
@@ -356,8 +349,8 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
 
 
 def _column_norms(r: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the columns of ``r``, summed as np.linalg.norm
-    sums them; ``r`` is overwritten with its squares."""
+    """Euclidean norms of the columns of the 2-D ``r``, summed as
+    np.linalg.norm(r, axis=0) sums them; ``r`` is overwritten with its squares."""
     return np.sqrt(np.add.reduce(np.multiply(r, r, out=r), axis=0))
 
 

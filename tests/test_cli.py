@@ -218,6 +218,25 @@ class TestBatchCommand:
         for t, row in enumerate(rows):
             assert float(row["final_residual"]) <= 1e-9 * np.linalg.norm(block[:, t])
 
+    def test_batch_threshold_unreachable_exit_code(self, tmp_path, capsys):
+        """A batch whose second column stalls exits 5 and writes no output,
+        not even the first column's estimate."""
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((3, 6))
+        a /= np.linalg.norm(a, axis=0)
+        sources = np.zeros((6, 2))
+        sources[0, 0], sources[2, 1] = 0.5, 1.3
+        save_matrix(tmp_path / "A.mat", a)
+        save_matrix(tmp_path / "X.mat", a @ sources)
+        code = run_cli(
+            "batch", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "X.mat",
+            "--mode", "threshold", "--mu", "2.5", "--c", "0.8", "--sigma-min", "1e-3",
+            "--max-inner", "200",
+            "--out-estimates", tmp_path / "S.mat", "--out-report", tmp_path / "r.csv",
+        )
+        assert code == 5
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["A.mat", "X.mat"]
+
 
 class TestSweepCommand:
     def test_single_point_matches_run_trial(self, tmp_path, capsys):

@@ -280,6 +280,37 @@ class TestSweeps:
         assert len(failed) == rows[0]["failures"]
         assert all(t["snr_db"] == "" for t in failed)
 
+    def test_threshold_failure_stays_with_its_point_in_a_block(self, monkeypatch):
+        """Two threshold points of one block, one stalling at every run: the
+        failures are counted at that point alone, and the partner's trials
+        equal its single solves."""
+        import sl0.expgen as expgen
+
+        widths = []
+        anneal = expgen._anneal_block
+
+        def spying(proj, x_block, cfgs):
+            widths.append(x_block.shape[1])
+            return anneal(proj, x_block, cfgs)
+
+        monkeypatch.setattr(expgen, "_anneal_block", spying)
+        base = SweepPoint(
+            m=6, n=3, k=1, exact_activation=True, noise_sigma=0.0, schedule=None, c=0.8,
+            mu=2.5, mode="threshold", max_inner=200,
+        )
+        rows, trials = run_sweep({"sigma_min": [1e-3, 0.3]}, runs=4, base_seed=0, base=base, collect_trials=True)
+        assert widths == [2] * 4
+        assert [row["failures"] for row in rows] == [4, 0]
+        for trial in trials:
+            point = replace(base, sigma_min=trial["sigma_min"])
+            a, _s, x = generate_problem(point.source_model(), point.mixing_spec(), trial["seed"])
+            if trial["error"]:
+                with pytest.raises(Sl0Error) as single_error:
+                    sl0_solve(a, x, point)
+                assert trial["error"] == str(single_error.value)
+            else:
+                assert trial["snr_db"] == pytest.approx(run_trial(point, trial["run_index"], 0).snr_db, rel=1e-9)
+
     def test_jobs_parallel_matches_serial(self):
         base = SweepPoint(m=40, n=16, k=4)
         grid = {"k": [2, 4, 6]}

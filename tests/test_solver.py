@@ -335,6 +335,52 @@ class TestThresholdMode:
             assert entry.f_total == float(cfg.family.total(entry.estimate, entry.sigma))
 
 
+class TestThresholdBlock:
+    CFG = SolverConfig(schedule=None, c=0.8, sigma_min=0.01, mu=2.0, mode="threshold")
+
+    def test_columns_match_single_solves(self):
+        """Columns that need different step counts at a level each take the
+        steps of their own solve: same widths, inner counts and residuals of
+        their own last steps, estimates equal to rounding, and F at the
+        target at every level."""
+        point = SweepPoint()
+        a, _s, _x = generate_problem(point.source_model(), point.mixing_spec(), 7)
+        rng = np.random.default_rng(7)
+        sources = np.where(rng.random((point.m, 4)) < 0.1, rng.standard_normal((point.m, 4)), 0.0)
+        block = a @ sources + 0.01 * rng.standard_normal((point.n, 4))
+        reports = sl0_solve_batch(a, block, self.CFG)
+        target = point.m - point.n / 2.0
+        per_level = [{r.trace[i].inner_iterations for r in reports} for i in range(len(reports[0].trace))]
+        assert any(len(counts) > 1 for counts in per_level)
+        for t, report in enumerate(reports):
+            single = sl0_solve(a, block[:, t], self.CFG)
+            assert np.linalg.norm(report.estimate - single.estimate) <= 1e-9 * np.linalg.norm(single.estimate)
+            assert [e.inner_iterations for e in report.trace] == [e.inner_iterations for e in single.trace]
+            assert [e.sigma for e in report.trace] == pytest.approx([e.sigma for e in single.trace], rel=1e-12)
+            assert [e.residual_norm for e in report.trace] == pytest.approx(
+                [e.residual_norm for e in single.trace], rel=1e-6
+            )
+            assert all(e.f_total >= target for e in report.trace)
+
+    def test_unreachable_column_beside_a_reaching_one(self):
+        """A column that stalls at mu = 2.5 fails alone: the engine puts its
+        error in its own slot and solves its partner as the single solve
+        does, and the batch raises the single solve's error."""
+        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-3, mu=2.5, mode="threshold", max_inner=200)
+        reaching = STALL_A @ np.array([0.5, 0.0, 0.0, 0.0, 0.0, 0.0])
+        block = np.column_stack([reaching, STALL_X])
+        with pytest.raises(ThresholdUnreachable) as single_error:
+            sl0_solve(STALL_A, STALL_X, cfg)
+        with pytest.raises(ThresholdUnreachable) as batch_error:
+            sl0_solve_batch(STALL_A, block, cfg)
+        assert str(batch_error.value) == str(single_error.value)
+        partner, failed = _anneal_block(ProjectorFactor(STALL_A), block, [cfg, cfg])
+        assert isinstance(failed, ThresholdUnreachable) and str(failed) == str(single_error.value)
+        single = sl0_solve(STALL_A, reaching, cfg)
+        assert np.linalg.norm(partner.estimate - single.estimate) <= 1e-9 * np.linalg.norm(single.estimate)
+        assert [e.inner_iterations for e in partner.trace] == [e.inner_iterations for e in single.trace]
+
+
 class TestBatch:
     def test_single_column_matches_single_solve(self):
         rng = np.random.default_rng(20)
