@@ -1,10 +1,13 @@
 """Command-line front end: problem generation, single and batch solving,
 Monte Carlo sweeps, and a-posteriori error bounds.
 
-Exit codes: 0 success, 2 usage, 3 malformed/inconsistent input data,
-4 rank-deficient system, 5 threshold mode gave up, 6 combinatorial guard
-exceeded. Outputs are written to a temporary file and renamed into place, so
-a failing command never leaves partial files behind.
+Exit codes: 0 success; 2 usage, including an out-of-range or non-finite
+solver setting and a ``--vary`` value that cannot be read; 3 malformed or
+inconsistent input data, a binary input file, or a path that cannot be
+read or written; 4 rank-deficient system; 5 threshold mode gave up;
+6 combinatorial guard exceeded. Outputs are written to a temporary file
+and renamed into place, so a failing command never leaves partial files
+behind.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +33,7 @@ from .errors import (
     ThresholdUnreachable,
     TooLarge,
 )
-from .penalty import PenaltyFamily
+from .penalty import PenaltyFamily, family_names
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -79,10 +82,42 @@ def _parse_sigma1(text: str) -> float | None:
         raise ParseError(f"sigma1 must be a number or 'auto', got {text!r}") from None
 
 
+def _parse_bool(text: str) -> bool:
+    if text.lower() not in ("1", "0", "true", "false", "yes", "no"):
+        raise ValueError("expected one of 1/0/true/false/yes/no")
+    return text.lower() in ("1", "true", "yes")
+
+
+def _field_readers() -> dict:
+    """The reader of one text value of each settable SweepPoint field: the
+    width flags' own parsers, and the annotated type for the rest, a family
+    staying a name so that sweep rows print it as given."""
+    hints = typing.get_type_hints(_POINT)
+    readers = {}
+    for f in fields(_POINT):
+        if f.init:
+            kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
+            readers[f.name] = {bool: _parse_bool, PenaltyFamily: str}.get(kind, kind)
+    return readers | {"schedule": _parse_schedule, "sigma1": _parse_sigma1}
+
+
+_READERS = _field_readers()
+_VARYABLE = sorted(set(_READERS) - {"schedule"})  # a schedule's values contain commas
+
+
+def _read(name: str, text: str):
+    """``text`` read as a value of the field ``name``, by its flag and by
+    ``--vary`` alike."""
+    try:
+        return _READERS[name](text)
+    except ValueError as exc:
+        raise ValueError(f"cannot read {name} {text!r}: {exc}") from None
+
+
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--family",
-        choices=["gaussian", "triangular", "hyperbolic", "rational"],
+        choices=family_names(),
         default=_CONFIG.family.kind,
         help="smoothing family (default: %(default)s)",
     )
@@ -98,12 +133,8 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
         help="geometric start width, a number or 'auto' = twice the largest magnitude "
         "of the minimum-norm solution (default: auto)",
     )
-    p.add_argument(
-        "--c", type=float, default=None, help=f"geometric decrease factor in (0,1) (default: {_CONFIG.c})"
-    )
-    p.add_argument(
-        "--sigma-min", type=float, default=None, help=f"geometric final width (default: {_CONFIG.sigma_min})"
-    )
+    p.add_argument("--c", default=None, help=f"geometric decrease factor in (0,1) (default: {_CONFIG.c})")
+    p.add_argument("--sigma-min", default=None, help=f"geometric final width (default: {_CONFIG.sigma_min})")
     p.add_argument("--mu", type=float, default=_CONFIG.mu, help="step factor (default: %(default)s)")
     p.add_argument(
         "--L", type=int, default=_CONFIG.L, help="inner iterations per width in fixed mode (default: %(default)s)"
@@ -144,24 +175,18 @@ def _add_source_flags(p: argparse.ArgumentParser, sources, mixing) -> None:
     )
 
 
-def _solver_fields(args) -> dict:
+def _solver_fields(args, varied=()) -> dict:
     """The SolverConfig fields the solver flags set, as keyword arguments.
 
-    ``--schedule`` gives the widths. Otherwise any of ``--sigma1``, ``--c``
-    and ``--sigma-min`` switches to a geometric sequence, and those not given
-    keep their defaults. Each of the four is parsed whenever it is given, so
-    a malformed value fails every subcommand alike.
+    ``--schedule`` gives the widths. Otherwise a geometric field given by
+    its flag or named in ``varied`` (the ``--vary`` keys) switches to a
+    geometric sequence, and the fields not given keep their defaults. Each
+    width flag is read whenever it is given, so a malformed value fails
+    every subcommand alike.
     """
-    given = {name: getattr(args, name) for name in ("family", "mu", "L", "mode", "target_f", "max_inner")}
-    if args.schedule is not None:
-        given["schedule"] = _parse_schedule(args.schedule)
-    if args.sigma1 is not None:
-        given["sigma1"] = _parse_sigma1(args.sigma1)
-    if args.c is not None:
-        given["c"] = args.c
-    if args.sigma_min is not None:
-        given["sigma_min"] = args.sigma_min
-    if args.schedule is None and given.keys() & expgen._GEOMETRIC_KEYS:
+    given = {f.name: vars(args)[f.name] for f in fields(_CONFIG) if vars(args).get(f.name) is not None}
+    given.update({name: _read(name, given[name]) for name in solver.WIDTH_FIELDS if name in given})
+    if "schedule" not in given and (given.keys() | set(varied)) & set(solver.GEOMETRIC_FIELDS):
         given["schedule"] = None
     return given
 
@@ -238,38 +263,23 @@ def cmd_batch(args) -> int:
     return EXIT_OK
 
 
-def _vary_casts() -> dict:
-    """The parser of one ``--vary`` value for each SweepPoint field a grid can
-    vary: every field but ``schedule``, whose values contain commas."""
-    hints = typing.get_type_hints(_POINT)
-    casts = {}
-    for f in fields(_POINT):
-        if not f.init or f.name == "schedule":
-            continue
-        kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
-        if kind is bool:
-            casts[f.name] = lambda v: v.lower() in ("1", "true", "yes")
-        else:
-            # A family stays a name, so the sweep rows print it as given.
-            casts[f.name] = str if kind is PenaltyFamily else kind
-    return casts
-
-
 def _parse_vary(items: list[str]) -> dict:
-    casts = _vary_casts()
     grid: dict = {}
     for item in items:
         if "=" not in item:
             raise ValueError(f"--vary expects KEY=V1,V2,..., got {item!r}")
         key, _, values = item.partition("=")
         key = key.strip()
-        if key not in casts:
-            raise ValueError(f"cannot vary {key!r}; valid keys: {sorted(casts)}")
-        grid[key] = [casts[key](v) for v in values.split(",")]
+        if key not in _VARYABLE:
+            raise ValueError(f"cannot vary {key!r}; valid keys: {_VARYABLE}")
+        if key in grid:
+            raise ValueError(f"--vary {key} is given twice; list all its values in one flag")
+        grid[key] = [_read(key, v) for v in values.split(",")]
     return grid
 
 
 def cmd_sweep(args) -> int:
+    grid = _parse_vary(args.vary or [])
     base = _POINT(
         m=args.m,
         n=args.n,
@@ -279,12 +289,8 @@ def cmd_sweep(args) -> int:
         sigma_off=args.sigma_off,
         noise_sigma=args.noise_sigma,
         solver=args.solver,
-        **_solver_fields(args),
+        **_solver_fields(args, grid),
     )
-    grid = _parse_vary(args.vary or [])
-    if base.schedule is not None and args.schedule is None and grid.keys() & expgen._GEOMETRIC_KEYS:
-        # Width-sequence sweeps run geometric mode; start width defaults to 1.
-        base = replace(base, schedule=None, sigma1=1.0)
     result = expgen.run_sweep(
         grid, runs=args.runs, base_seed=args.seed, base=base, jobs=args.jobs, collect_trials=args.per_trial is not None
     )
@@ -377,7 +383,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DimensionMismatch, FileNotFoundError) as exc:
+    except (ParseError, DimensionMismatch, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
 from .linalg import _factor_of
-from .solver import SolverConfig, _anneal_block, irls_solve, sl0_solve
+from .solver import GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, irls_solve, sl0_solve
 
 # Cap applied when the estimate is (numerically) exact, so averages of
 # decibel values stay finite in noiseless exact-recovery regimes.
@@ -219,10 +219,6 @@ class SweepPoint(SolverConfig):
         return SolverConfig(**{f.name: getattr(self, f.name) for f in fields(SolverConfig)})
 
 
-# Grid keys that only take effect through a geometric schedule.
-_GEOMETRIC_KEYS = {"c", "sigma_min", "sigma1"}
-
-
 def run_trial(point: SweepPoint, run_index: int, base_seed: int) -> TrialResult:
     """Generate one problem instance and solve it, timing the solve only."""
     a, s_true, x = generate_problem(point.source_model(), point.mixing_spec(), base_seed + run_index)
@@ -253,7 +249,7 @@ def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
     for key in grid:
         if key not in valid:
             raise ValueError(f"unknown grid key {key!r}; valid keys: {sorted(valid)}")
-        if key in _GEOMETRIC_KEYS and base.schedule is not None:
+        if key in GEOMETRIC_FIELDS and base.schedule is not None:
             raise ValueError(
                 f"varying {key!r} has no effect with an explicit schedule; "
                 "set schedule=None on the base point"
@@ -284,9 +280,9 @@ def run_sweep(
 
     Grid points of one run index that share (n, m) share its matrix, which
     is drawn and factored once for all of them; the solve times exclude that
-    factorization. Of those, the sl0 points that also share family, mu, L,
-    mode, target_f and max_inner are annealed in lockstep as one n×T block,
-    each column on its own point's widths, like :func:`sl0_solve_batch`;
+    factorization. Of those, the sl0 points whose solver settings differ in
+    their widths alone are annealed in lockstep as one n×T block, each
+    column on its own point's widths, like :func:`sl0_solve_batch`;
     the time of each is its share of the block's wall time, the block's time
     divided by T, and a threshold failure stays its own point's. IRLS points
     are solved one at a time. ``jobs``
@@ -349,12 +345,12 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     The first grid point of each (n, m) draws the whole problem and factors
     its matrix, and the others draw only their sources and noise on that
     matrix, so every problem is bit-identical to :func:`generate_problem` at
-    the trial seed. The sl0 points that share (n, m, family, mu, L, mode,
-    target_f, max_inner) are then annealed as one block, each column on its
-    own point's widths, and each is timed at its share of the block's wall
-    time; the IRLS points are solved one at a time. The factors live only
-    until this returns, except the last one built, which stays in the
-    package's factor slot until another matrix is factored.
+    the trial seed. The sl0 points of one (n, m) whose solver settings
+    differ in the width fields alone are then annealed as one block, each
+    column on its own point's widths, and each is timed at its share of the
+    block's wall time; the IRLS points are solved one at a time. The
+    factors live only until this returns, except the last one built, which
+    stays in the package's factor slot until another matrix is factored.
     """
     seed = base_seed + run_index
     shared: dict[tuple[int, int], tuple] = {}
@@ -379,7 +375,7 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
         elif point.solver == "sl0":
-            engine = (point.family, point.mu, point.L, point.mode, point.target_f, point.max_inner)
+            engine = tuple(getattr(point, f.name) for f in fields(SolverConfig) if f.name not in WIDTH_FIELDS)
             blocks.setdefault(key + engine, []).append(i)
         else:
             singles.append(i)

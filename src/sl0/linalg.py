@@ -250,9 +250,12 @@ def save_matrix(path, a) -> None:
 
 def load_matrix(path) -> np.ndarray:
     path = Path(path)
-    with path.open() as fh:
-        head = next((ln for ln in fh if ln.strip()), None)
-        body = fh.read()
+    try:
+        with path.open() as fh:
+            head = next((ln for ln in fh if ln.strip()), None)
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not a text file ({exc.reason} at byte {exc.start})") from None
     if head is None:
         raise ParseError(f"{path}: empty file")
     header = head.split()

@@ -17,6 +17,7 @@ a-posteriori error guarantee at the price of a possible
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -38,13 +39,27 @@ DEFAULT_L = 3
 DEFAULT_SCHEDULE = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 
 
+# The fields that set a solve's widths: an explicit ``schedule``, or the three
+# that build a geometric one. Configs differing in these alone share a block.
+GEOMETRIC_FIELDS = ("sigma1", "c", "sigma_min")
+WIDTH_FIELDS = ("schedule",) + GEOMETRIC_FIELDS
+
+
+def _check_geometric(sigma1, c, sigma_min) -> None:
+    """The range check of a geometric sequence; ``sigma1`` None is auto."""
+    if not (sigma1 is None or 0.0 < sigma1 < math.inf) or not 0.0 < sigma_min < math.inf:
+        raise ValueError(f"sigma1 and sigma_min must be positive and finite, got {sigma1} and {sigma_min}")
+    if not 0.0 < c < 1.0:
+        raise ValueError(f"c must lie in (0, 1), got {c}")
+
+
 def validate_schedule(values) -> tuple[float, ...]:
-    """Check a width sequence is positive and strictly decreasing."""
+    """Check a width sequence is positive, finite and strictly decreasing."""
     out = tuple(float(v) for v in values)
     if len(out) < 1:
         raise ValueError("schedule must contain at least one width")
-    if any(v <= 0.0 for v in out):
-        raise ValueError(f"schedule widths must be positive: {out}")
+    if not all(0.0 < v < math.inf for v in out):
+        raise ValueError(f"schedule widths must be positive and finite: {out}")
     if any(b >= a for a, b in zip(out, out[1:])):
         raise ValueError(f"schedule must be strictly decreasing: {out}")
     return out
@@ -53,10 +68,7 @@ def validate_schedule(values) -> tuple[float, ...]:
 def geometric_schedule(sigma1: float, c: float, sigma_min: float) -> tuple[float, ...]:
     """Widths sigma1, c·sigma1, c²·sigma1, ... while above sigma_min, then
     sigma_min itself as the exact final value."""
-    if sigma1 <= 0.0 or sigma_min <= 0.0:
-        raise ValueError("sigma1 and sigma_min must be positive")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"decrease factor c must lie in (0, 1), got {c}")
+    _check_geometric(sigma1, c, sigma_min)
     values = []
     v = float(sigma1)
     while v > sigma_min:
@@ -106,14 +118,11 @@ class SolverConfig:
         if self.schedule is not None:
             object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         else:
-            if not 0.0 < self.c < 1.0:
-                raise ValueError(f"c must lie in (0, 1), got {self.c}")
-            if self.sigma_min <= 0.0:
-                raise ValueError("sigma_min must be positive")
-            if self.sigma1 is not None and self.sigma1 <= 0.0:
-                raise ValueError("sigma1 must be positive")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+            _check_geometric(self.sigma1, self.c, self.sigma_min)
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
+        if self.target_f is not None and not math.isfinite(self.target_f):
+            raise ValueError(f"target_f must be finite, got {self.target_f}")
         if self.L < 1:
             raise ValueError("L must be at least 1")
         if self.mode not in ("fixed", "threshold"):
@@ -232,10 +241,10 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     """Solves of every column of ``x_block`` in lockstep, column t under
     ``cfgs[t]``.
 
-    The configs may differ in their widths but must share family, mu, L,
-    mode, target_f, max_inner and record_estimates; the first one's are
-    used. The columns are ordered by schedule length, longest first, so the
-    columns still annealing at each level are the leading ones; when a
+    The configs may differ in the :data:`WIDTH_FIELDS` alone; the first
+    one's other settings are used. The columns are ordered by schedule
+    length, longest first, so the columns still annealing at each level are
+    the leading ones; when a
     column's schedule runs out, its estimate is copied out and the columns
     still annealing are packed into a contiguous block. Every step runs in
     place on three workspaces allocated once: the m×T iterate block, an m×T

@@ -369,6 +369,119 @@ class TestSolverFlags:
         np.testing.assert_array_equal(load_vector(tmp_path / "s_hat.vec"), sl0_solve(a, x, cfg).estimate)
 
 
+    def test_family_flag_takes_canonical_names(self, tmp_path, capsys):
+        """``--family`` accepts every name a family has, and an alias solves
+        as its canonical name does."""
+        assert run_cli(*gen_args(tmp_path, m=12, n=5)) == 0
+        for name in ("hyperbolic", "truncated_hyperbolic"):
+            assert run_cli(
+                "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec", "--family", name,
+                "--out-estimate", tmp_path / f"{name}.vec", "--out-report", tmp_path / f"{name}.csv",
+            ) == 0
+        assert (tmp_path / "hyperbolic.vec").read_bytes() == (tmp_path / "truncated_hyperbolic.vec").read_bytes()
+
+    def test_vary_geometric_key_reads_as_its_flag(self, tmp_path, capsys):
+        """``--vary c=0.5`` switches to geometric widths exactly as ``--c 0.5``
+        does, σ₁ = auto included, and gives the same row."""
+        sweep = ["sweep", "--m", 60, "--n", 24, "--k", 4, "--runs", 3, "--seed", 5]
+        assert run_cli(*sweep, "--vary", "c=0.5", "--out", tmp_path / "vary.csv") == 0
+        assert run_cli(*sweep, "--c", "0.5", "--out", tmp_path / "flag.csv") == 0
+        with open(tmp_path / "vary.csv", newline="") as fh:
+            (varied,) = list(csv.DictReader(fh))
+        with open(tmp_path / "flag.csv", newline="") as fh:
+            (flagged,) = list(csv.DictReader(fh))
+        for key in ("snr_mean_db", "snr_std_db", "snr_min_db", "mse_mean", "failures"):
+            assert varied[key] == flagged[key]
+
+    def test_vary_sigma1_reads_auto(self, tmp_path, capsys):
+        """``--vary sigma1=auto,1.5`` runs, each row as its flag's sweep."""
+        sweep = ["sweep", "--m", 30, "--n", 12, "--k", 3, "--runs", 2, "--seed", 6]
+        assert run_cli(*sweep, "--vary", "sigma1=auto,1.5", "--out", tmp_path / "vary.csv") == 0
+        with open(tmp_path / "vary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        for row, flag in zip(rows, ["auto", "1.5"], strict=True):
+            assert run_cli(*sweep, "--sigma1", flag, "--out", tmp_path / "flag.csv") == 0
+            with open(tmp_path / "flag.csv", newline="") as fh:
+                (single,) = list(csv.DictReader(fh))
+            assert float(row["snr_mean_db"]) == pytest.approx(float(single["snr_mean_db"]), rel=1e-9)
+
+
+SWEEP = ["sweep", "--m", "12", "--n", "5", "--k", "1", "--runs", "1", "--out", "sweep.csv"]
+EXIT_CASES = {
+    # 0: success, the canonical family name and an auto start width in --vary included.
+    "solve": (0, ["solve", "--matrix", "{A}", "--rhs", "{x}"]),
+    "canonical family": (0, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "truncated_hyperbolic"]),
+    "vary sigma1 auto": (0, [*SWEEP, "--vary", "sigma1=auto,1.5"]),
+    "bound": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"]),
+    # 2: usage, out-of-range or non-finite settings, unreadable --vary values.
+    "unknown flag": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--frobnicate", "1"]),
+    "unknown family": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "bogus"]),
+    "c out of range": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "1.5"]),
+    "c not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "abc"]),
+    "sigma1 inf": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "inf"]),
+    "sigma1 nan": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "nan"]),
+    "sigma_min inf": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma-min", "inf"]),
+    "mu nan": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--mu", "nan"]),
+    "schedule inf": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--schedule", "inf,1"]),
+    "target_f nan": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--mode", "threshold", "--target-F", "nan"]),
+    "vary mu nan": (2, [*SWEEP, "--vary", "mu=nan"]),
+    "vary unknown key": (2, [*SWEEP, "--vary", "bogus=1"]),
+    "vary not a number": (2, [*SWEEP, "--vary", "c=abc"]),
+    "vary bool": (2, [*SWEEP, "--vary", "exact_activation=maybe"]),
+    "vary repeated key": (2, [*SWEEP, "--vary", "k=2", "--vary", "k=3"]),
+    # 3: malformed input data, binary files, paths that cannot be read or written.
+    "missing file": (3, ["solve", "--matrix", "{missing}", "--rhs", "{x}"]),
+    "malformed matrix": (3, ["solve", "--matrix", "{short}", "--rhs", "{x}"]),
+    "binary matrix": (3, ["solve", "--matrix", "{binary}", "--rhs", "{x}"]),
+    "matrix is a directory": (3, ["solve", "--matrix", "{dir}", "--rhs", "{x}"]),
+    "output is a directory": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--out-estimate", "{dir}"]),
+    "wrong-length rhs": (3, ["solve", "--matrix", "{A}", "--rhs", "{s}"]),
+    "sigma1 not a number": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "bogus"]),
+    "vary sigma1 not a number": (3, [*SWEEP, "--vary", "sigma1=bogus"]),
+    # 4-6: rank deficiency, threshold stall, combinatorial guard.
+    "rank deficient": (4, ["solve", "--matrix", "{rank1}", "--rhs", "{x2}"]),
+    "threshold stall": (
+        5, ["solve", "--matrix", "{stall_A}", "--rhs", "{stall_x}", "--mode", "threshold", "--c", "0.8",
+            "--sigma-min", "1e-3", "--max-inner", "200"],
+    ),
+    "bound guard": (6, ["bound", "--matrix", "{big}", "--estimate", "{big_s}"]),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_codes(tmp_path, capsys, monkeypatch, case):
+    """One input per documented exit code: 0 success, 2 usage, 3 malformed
+    input, 4 rank-deficient matrix, 5 threshold mode gave up, 6 combinatorial
+    guard exceeded. Every failure prints an error and writes no output."""
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*gen_args(tmp_path)) == 0
+    rng = np.random.default_rng(3)
+    stall_a = rng.standard_normal((3, 6))
+    stall_a /= np.linalg.norm(stall_a, axis=0)
+    save_matrix("stall_A.mat", stall_a)
+    save_vector("stall_x.vec", stall_a @ np.eye(6)[2] * 1.3)
+    save_matrix("rank1.mat", np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0]]))
+    save_vector("x2.vec", [1.0, 2.0])
+    save_matrix("big.mat", np.random.default_rng(8).standard_normal((10, 50)))
+    save_vector("big_s.vec", np.zeros(50))
+    (tmp_path / "short.mat").write_text("2 2\n1 2\n")
+    (tmp_path / "binary.mat").write_bytes(b"3 6\n\xff\xfe\x00\x81")
+    (tmp_path / "dir").mkdir()
+    names = {path.stem: path.name for path in tmp_path.iterdir()} | {"missing": "nope.mat"}
+    code, argv = EXIT_CASES[case]
+    args = [arg.format(**names) for arg in argv]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    try:
+        assert run_cli(*args) == code
+    except SystemExit as exc:
+        assert exc.code == code == 2
+    err = capsys.readouterr().err
+    if code:
+        assert "error" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list((tmp_path / "dir").iterdir()) == []
+
+
 class TestBound:
     def test_sparse_estimate_zero_bound(self, tmp_path, capsys):
         rng = np.random.default_rng(6)

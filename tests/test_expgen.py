@@ -311,6 +311,47 @@ class TestSweeps:
             else:
                 assert trial["snr_db"] == pytest.approx(run_trial(point, trial["run_index"], 0).snr_db, rel=1e-9)
 
+    @staticmethod
+    def block_settings(monkeypatch, grid: dict, base: SweepPoint) -> list[list[tuple]]:
+        """The (key, value) pairs of the grid fields of every block's columns,
+        one list per block, from a one-run sweep that spies on the engine."""
+        import sl0.expgen as expgen
+
+        blocks = []
+        anneal = expgen._anneal_block
+
+        def spying(proj, x_block, cfgs):
+            blocks.append([tuple(getattr(cfg, key) for key in grid) for cfg in cfgs])
+            return anneal(proj, x_block, cfgs)
+
+        monkeypatch.setattr(expgen, "_anneal_block", spying)
+        run_sweep(grid, runs=1, base_seed=43, base=base)
+        return blocks
+
+    def test_one_block_per_setting_beside_the_widths(self, monkeypatch):
+        """A grid over {c, mu} anneals one block per mu, each holding every c."""
+        base = SweepPoint(m=30, n=12, k=3, schedule=None)
+        blocks = self.block_settings(monkeypatch, {"c": [0.5, 0.8], "mu": [2.0, 2.5]}, base)
+        assert blocks == [[(0.5, 2.0), (0.8, 2.0)], [(0.5, 2.5), (0.8, 2.5)]]
+
+    def test_points_differing_in_widths_alone_share_a_block(self, monkeypatch):
+        base = SweepPoint(m=30, n=12, k=3, schedule=None)
+        grid = {"sigma1": [None, 1.0], "c": [0.5, 0.8], "sigma_min": [0.01, 0.02], "k": [2, 3]}
+        blocks = self.block_settings(monkeypatch, grid, base)
+        assert len(blocks) == 1 and sorted(blocks[0], key=str) == sorted(product(*grid.values()), key=str)
+
+    @pytest.mark.parametrize(
+        "key, values",
+        [("family", [PenaltyFamily("gaussian"), PenaltyFamily("rational")]), ("mu", [2.0, 2.5]), ("L", [2, 3]), ("mode", ["fixed", "threshold"]),
+         ("target_f", [None, 25.0]), ("max_inner", [500, 1000])],
+    )
+    def test_every_other_solver_setting_splits_blocks(self, monkeypatch, key, values):
+        """Points differing in one solver setting that is not a width anneal
+        in separate blocks, so no engine setting is dropped from the key."""
+        base = SweepPoint(m=30, n=12, k=3, schedule=None)
+        blocks = self.block_settings(monkeypatch, {key: values, "c": [0.5, 0.8]}, base)
+        assert [{column[0] for column in block} for block in blocks] == [{values[0]}, {values[1]}]
+
     def test_jobs_parallel_matches_serial(self):
         base = SweepPoint(m=40, n=16, k=4)
         grid = {"k": [2, 4, 6]}

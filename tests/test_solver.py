@@ -75,7 +75,9 @@ class TestSchedules:
         with pytest.raises(ValueError):
             geometric_schedule(1.0, 1.0, 0.01)
 
-    @pytest.mark.parametrize("values", [(), (0.0, -1.0), (1.0, 1.0), (0.5, 1.0)])
+    @pytest.mark.parametrize(
+        "values", [(), (0.0, -1.0), (1.0, 1.0), (0.5, 1.0), (math.inf, 1.0), (1.0, math.nan), (2.0, -math.inf)]
+    )
     def test_validate_schedule_rejects(self, values):
         with pytest.raises(ValueError):
             validate_schedule(values)
@@ -89,6 +91,34 @@ class TestSchedules:
             SolverConfig(mode="loop")
         with pytest.raises(ValueError):
             SolverConfig(schedule=None, c=1.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            lambda v: {"mu": v},
+            lambda v: {"target_f": v},
+            lambda v: {"schedule": (v, 0.5)},
+            lambda v: {"schedule": (2.0, v)},
+            lambda v: {"schedule": None, "sigma1": v},
+            lambda v: {"schedule": None, "c": v},
+            lambda v: {"schedule": None, "sigma_min": v},
+        ],
+        ids=["mu", "target_f", "first_width", "last_width", "sigma1", "c", "sigma_min"],
+    )
+    def test_config_rejects_non_finite(self, setting, bad):
+        """A NaN or infinite setting fails when the config is built, not later
+        in a solve (an infinite start width would grow the geometric sequence
+        without end)."""
+        with pytest.raises(ValueError, match="finite|must lie"):
+            SolverConfig(**setting(bad))
+
+    @pytest.mark.parametrize("args", [(math.nan, 0.5, 0.01), (1.0, math.nan, 0.01), (1.0, 0.5, math.inf)])
+    def test_geometric_rejects_non_finite(self, args):
+        """The geometric check is the config's: a NaN or infinite parameter
+        fails instead of giving a meaningless sequence."""
+        with pytest.raises(ValueError, match="finite|must lie"):
+            geometric_schedule(*args)
 
 
 class TestAutoSigma1:
