@@ -2,7 +2,8 @@
 Monte Carlo sweeps, and a-posteriori error bounds.
 
 Exit codes: 0 success; 2 usage, including an out-of-range or non-finite
-solver setting and a ``--vary`` value that cannot be read; 3 malformed or
+solver setting, a geometric sequence over ``solver.MAX_LEVELS`` widths,
+and a solver flag or ``--vary`` value that cannot be read; 3 malformed or
 inconsistent input data, a binary input file, or a path that cannot be
 read or written; 4 rank-deficient system; 5 threshold mode gave up;
 6 combinatorial guard exceeded. Outputs are written to a temporary file
@@ -66,20 +67,11 @@ def _atomic_write(path, write_fn) -> None:
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(v) for v in text.split(","))
-    except ValueError:
-        raise ParseError(f"cannot parse schedule {text!r}: expected comma-separated numbers") from None
-    return solver.validate_schedule(values)
+    return solver.validate_schedule(text.split(","))
 
 
 def _parse_sigma1(text: str) -> float | None:
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise ParseError(f"sigma1 must be a number or 'auto', got {text!r}") from None
+    return None if text == "auto" else float(text)
 
 
 def _parse_bool(text: str) -> bool:
@@ -295,6 +287,9 @@ def cmd_sweep(args) -> int:
         grid, runs=args.runs, base_seed=args.seed, base=base, jobs=args.jobs, collect_trials=args.per_trial is not None
     )
     rows, trial_rows = result if args.per_trial is not None else (result, None)
+    for row in rows + (trial_rows or []):
+        if "sigma1" in row and row["sigma1"] is None:
+            row["sigma1"] = "auto"  # as --sigma1 reads it
     _atomic_write(args.out, lambda p: expgen.write_sweep_csv(rows, p))
     if args.per_trial is not None:
         _atomic_write(args.per_trial, lambda p: expgen.write_trials_csv(trial_rows, p))
@@ -378,29 +373,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error; the first class an error is an instance of decides.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    DimensionMismatch: EXIT_PARSE,
+    OSError: EXIT_PARSE,
+    ValueError: EXIT_USAGE,
+    RankDeficient: EXIT_RANK_DEFICIENT,
+    ThresholdUnreachable: EXIT_THRESHOLD,
+    TooLarge: EXIT_GUARD,
+    Sl0Error: 1,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, DimensionMismatch, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except RankDeficient as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RANK_DEFICIENT
-    except ThresholdUnreachable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_THRESHOLD
-    except TooLarge as exc:
-        print(f"error: {exc} (the bound is only available for small instances)", file=sys.stderr)
-        return EXIT_GUARD
-    except Sl0Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        hint = " (the bound is only available for small instances)" if code == EXIT_GUARD else ""
+        print(f"error: {exc}{hint}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

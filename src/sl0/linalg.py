@@ -5,8 +5,9 @@ used by the error bounds.
 The feasible set of an underdetermined system A·s = x (A of shape n×m with
 n <= m and full row rank) is an affine subspace. Everything here is built on
 one object, :class:`ProjectorFactor`, holding the precomputed pseudoinverse
-A⁺ = Aᵀ(A·Aᵀ)⁻¹, so that minimum-norm solutions and projections are plain
-matrix products with no factorization or triangular solve per call.
+A⁺ = Aᵀ(A·Aᵀ)⁻¹. Its four operations, ``min_norm``, ``residual``,
+``project`` and ``pinv_frobenius_norm``, are plain matrix products with no
+factorization or triangular solve per call.
 """
 
 from __future__ import annotations
@@ -59,9 +60,9 @@ class ProjectorFactor:
     matrix A.
 
     A⁺ is built once, from the inverse of A·Aᵀ, after that inverse has passed
-    the condition check. The operations the solver iterates on are then two
-    matrix products each: the pseudoinverse action ``apply(v) = A⁺·v`` and the
-    orthogonal projection of a point onto the affine set {s : A·s = x}.
+    the condition check. The operations the solver iterates on are then matrix
+    products: ``min_norm(x) = A⁺·x``, ``residual(s, x) = A·s − x``, and the
+    projection onto {s : A·s = x}, which is those two. Each checks its operands.
     Everything runs in numpy, so the package uses one BLAS thread pool.
     Immutable after construction; safe to share across concurrent solves.
 
@@ -101,15 +102,27 @@ class ProjectorFactor:
         self.matrix.setflags(write=False)
         self.source_dims = (n, m)
 
-    def apply(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Apply Aᵀ(A·Aᵀ)⁻¹ to ``v`` (the Moore-Penrose pseudoinverse of A),
-        writing into ``out`` when given."""
-        v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.source_dims[0]:
+    def min_norm(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Minimum Euclidean-norm solution A⁺·x of A·s = x, column by column,
+        written into ``out`` when given."""
+        x = np.asarray(x, dtype=float)
+        n, m = self.source_dims
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise DimensionMismatch(f"right-hand side of shape {x.shape} does not fit a {n}x{m} matrix")
+        return np.matmul(self._pinv, x, out=out)
+
+    def residual(self, s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """A·s − x, written into ``out`` when given; ``s`` has m rows and
+        ``x`` the shape of A·s."""
+        s = np.asarray(s, dtype=float)
+        n, m = self.source_dims
+        if s.ndim not in (1, 2) or s.shape[0] != m or np.shape(x) != (n,) + s.shape[1:]:
             raise DimensionMismatch(
-                f"operand has leading dimension {v.shape[0]}, expected {self.source_dims[0]}"
+                f"point of shape {s.shape} and right-hand side of shape {np.shape(x)} do not fit a {n}x{m} matrix"
             )
-        return np.matmul(self._pinv, v, out=out)
+        r = np.matmul(self.matrix, s, out=out)
+        r -= x
+        return r
 
     def project(
         self, s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, residual: np.ndarray | None = None
@@ -123,21 +136,11 @@ class ProjectorFactor:
         projection is bit-identical either way.
         """
         s = np.asarray(s, dtype=float)
-        if s.shape[0] != self.source_dims[1]:
-            raise DimensionMismatch(
-                f"point has leading dimension {s.shape[0]}, expected {self.source_dims[1]}"
-            )
-        r = np.matmul(self.matrix, s, out=residual)
-        r -= x
+        r = self.residual(s, x, out=residual)
         if out is None:
             return s - self._pinv @ r
         s -= np.matmul(self._pinv, r, out=out)
         return s
-
-    def min_norm(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Minimum Euclidean-norm solution of A·s = x, written into ``out``
-        when given."""
-        return self.apply(x, out=out)
 
     def pinv_frobenius_norm(self) -> float:
         """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹."""
@@ -150,9 +153,10 @@ class ProjectorFactor:
 _last_factor: ProjectorFactor | None = None
 
 
-def _factor_of(a) -> ProjectorFactor:
-    """The factor of ``a``: the last one built when its matrix equals ``a``
-    entry for entry, otherwise a new one.
+def _factor_of(a, projector: ProjectorFactor | None = None) -> ProjectorFactor:
+    """The factor that serves ``a``: ``projector`` once checked against the
+    shape of ``a`` when given, else the last one built when its matrix
+    equals ``a`` entry for entry, else a new one.
 
     The key is the matrix contents, never the array's identity, so callers
     may change their array in place between calls. No lock is needed: a
@@ -160,6 +164,11 @@ def _factor_of(a) -> ProjectorFactor:
     ``a``, and two concurrent misses merely build twice.
     """
     global _last_factor
+    if projector is not None:
+        n, m = projector.source_dims
+        if np.shape(a) != (n, m):
+            raise DimensionMismatch(f"projector was built for a {n}x{m} matrix, got shape {np.shape(a)}")
+        return projector
     a = as_matrix(a)
     last = _last_factor
     if last is not None and np.array_equal(last.matrix, a):
@@ -175,20 +184,12 @@ def _factor_of(a) -> ProjectorFactor:
 
 def min_norm_solution(a, x) -> np.ndarray:
     """Minimum Euclidean-norm solution Aᵀ(A·Aᵀ)⁻¹x of the wide system A·s = x."""
-    proj = _factor_of(a)
-    x = as_vector(x)
-    if x.shape[0] != proj.source_dims[0]:
-        raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {proj.source_dims[0]}")
-    return proj.min_norm(x)
+    return _factor_of(a).min_norm(as_vector(x))
 
 
 def project_feasible(p: ProjectorFactor, s, x) -> np.ndarray:
     """Project ``s`` onto the feasible set of A·s = x using a cached factor."""
-    s = as_vector(s)
-    x = as_vector(x)
-    if x.shape[0] != p.source_dims[0]:
-        raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {p.source_dims[0]}")
-    return p.project(s, x)
+    return p.project(as_vector(s), as_vector(x))
 
 
 def _enumeration_guard(n: int, m: int) -> None:

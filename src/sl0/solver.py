@@ -44,13 +44,20 @@ DEFAULT_SCHEDULE = (1.0, 0.5, 0.2, 0.1, 0.05, 0.02, 0.01)
 GEOMETRIC_FIELDS = ("sigma1", "c", "sigma_min")
 WIDTH_FIELDS = ("schedule",) + GEOMETRIC_FIELDS
 
+# Most widths a geometric sequence may have; the experiments use a few hundred.
+MAX_LEVELS = 100_000
+
 
 def _check_geometric(sigma1, c, sigma_min) -> None:
-    """The range check of a geometric sequence; ``sigma1`` None is auto."""
+    """The range check of a geometric sequence, and of its length once
+    ``sigma1`` is known; ``sigma1`` None is auto."""
     if not (sigma1 is None or 0.0 < sigma1 < math.inf) or not 0.0 < sigma_min < math.inf:
         raise ValueError(f"sigma1 and sigma_min must be positive and finite, got {sigma1} and {sigma_min}")
     if not 0.0 < c < 1.0:
         raise ValueError(f"c must lie in (0, 1), got {c}")
+    levels = 1 if sigma1 is None else math.ceil((math.log(sigma_min) - math.log(sigma1)) / math.log(c)) + 1
+    if levels > MAX_LEVELS:
+        raise ValueError(f"sigma1={sigma1}, c={c} and sigma_min={sigma_min} give {levels} widths, over {MAX_LEVELS}")
 
 
 def validate_schedule(values) -> tuple[float, ...]:
@@ -176,17 +183,6 @@ class SolveReport:
     residual_norm: float = 0.0
 
 
-def _projector_for(a, projector: ProjectorFactor | None) -> ProjectorFactor:
-    """``projector`` once checked against the shape of ``a``, or the factor
-    of ``a`` when none is given."""
-    if projector is None:
-        return _factor_of(a)
-    n, m = projector.source_dims
-    if np.shape(a) != (n, m):
-        raise DimensionMismatch(f"projector was built for a {n}x{m} matrix, got shape {np.shape(a)}")
-    return projector
-
-
 def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None) -> SolveReport:
     """Recover a sparse solution of the underdetermined system A·s = x.
 
@@ -222,11 +218,8 @@ def sl0_solve_batch(
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
-    proj = _projector_for(a, projector)
-    n, m = proj.source_dims
+    proj = _factor_of(a, projector)
     x_block = as_matrix(x_block)
-    if x_block.shape[0] != n:
-        raise DimensionMismatch(f"right-hand sides have length {x_block.shape[0]}, expected {n}")
     t_count = x_block.shape[1]
     reports = _anneal_block(proj, x_block, [cfg] * t_count)
     per_sample = (time.perf_counter() - started) / t_count
@@ -257,7 +250,8 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     ``ThresholdUnreachable`` instead. Each level's residual is the one the
     column's last projection formed; the columns that finish together take
     one more product for their final residual. The reports come back in the
-    column order of ``x_block`` and carry no wall time.
+    column order of ``x_block`` and carry no wall time. Of the factor, only
+    ``source_dims``, ``min_norm``, ``project`` and ``residual`` are used.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
@@ -287,9 +281,8 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
 
     def final_residuals(first: int, last: int) -> np.ndarray:
         # One product, into the residual workspace, for the columns finishing together.
-        r = np.matmul(proj.matrix, s[:, first:last], out=r_buf[: n * (last - first)].reshape(n, last - first))
-        r -= x[:, first:last]
-        return _column_norms(r)
+        r = r_buf[: n * (last - first)].reshape(n, last - first)
+        return _column_norms(proj.residual(s[:, first:last], x[:, first:last], out=r))
 
     def finish(first: int, last: int, resid: np.ndarray) -> None:
         for pos in range(first, last):
@@ -411,13 +404,11 @@ def irls_solve(
     Repeats s <- W·Aᵀ(A·W·Aᵀ)⁻¹·x with W = diag(|s_i|^(2-p) + regularizer),
     starting from the minimum-norm solution. Each iterate is feasible by
     construction. ``projector`` is a prebuilt factor of ``a``, as in
-    :func:`sl0_solve`.
+    :func:`sl0_solve`; the reweighted systems are formed from its dense
+    ``matrix``.
     """
-    proj = _projector_for(a, projector)
-    n, _ = proj.source_dims
+    proj = _factor_of(a, projector)
     x = as_vector(x)
-    if x.shape[0] != n:
-        raise DimensionMismatch(f"right-hand side has length {x.shape[0]}, expected {n}")
     mat = proj.matrix
     s = proj.min_norm(x)
     for _ in range(iterations):

@@ -343,8 +343,8 @@ class TestSolverFlags:
             "batch": ["--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "X.mat", "--out-estimates", out],
             "sweep": ["--m", 30, "--n", 12, "--k", 3, "--runs", 1, "--out", out],
         }[command]
-        assert run_cli(command, *inputs, "--schedule", "1,0.5", "--sigma1", "bogus") == 3
-        assert "sigma1 must be a number or 'auto'" in capsys.readouterr().err
+        assert run_cli(command, *inputs, "--schedule", "1,0.5", "--sigma1", "bogus") == 2
+        assert "cannot read sigma1 'bogus'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_flags_build_the_same_config_everywhere(self, tmp_path, capsys):
@@ -405,6 +405,18 @@ class TestSolverFlags:
                 (single,) = list(csv.DictReader(fh))
             assert float(row["snr_mean_db"]) == pytest.approx(float(single["snr_mean_db"]), rel=1e-9)
 
+    def test_vary_sigma1_auto_rows_say_auto(self, tmp_path, capsys):
+        """A swept auto start width prints and writes ``auto``, the text its
+        flag reads, in the summary and the per-trial rows alike."""
+        sweep = ["sweep", "--m", 60, "--n", 24, "--k", 4, "--runs", 3, "--seed", 5, "--vary", "sigma1=auto,1.5"]
+        assert run_cli(*sweep, "--out", tmp_path / "s.csv", "--per-trial", tmp_path / "t.csv") == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in printed] == ["sigma1=auto", "sigma1=1.5"]
+        for name, auto_rows in (("s.csv", 1), ("t.csv", 3)):
+            with open(tmp_path / name, newline="") as fh:
+                cells = [row["sigma1"] for row in csv.DictReader(fh)]
+            assert cells == ["auto"] * auto_rows + ["1.5"] * auto_rows
+
 
 SWEEP = ["sweep", "--m", "12", "--n", "5", "--k", "1", "--runs", "1", "--out", "sweep.csv"]
 EXIT_CASES = {
@@ -413,7 +425,7 @@ EXIT_CASES = {
     "canonical family": (0, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "truncated_hyperbolic"]),
     "vary sigma1 auto": (0, [*SWEEP, "--vary", "sigma1=auto,1.5"]),
     "bound": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"]),
-    # 2: usage, out-of-range or non-finite settings, unreadable --vary values.
+    # 2: usage, out-of-range or non-finite settings, unreadable flag or --vary values.
     "unknown flag": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--frobnicate", "1"]),
     "unknown family": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "bogus"]),
     "c out of range": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "1.5"]),
@@ -429,6 +441,12 @@ EXIT_CASES = {
     "vary not a number": (2, [*SWEEP, "--vary", "c=abc"]),
     "vary bool": (2, [*SWEEP, "--vary", "exact_activation=maybe"]),
     "vary repeated key": (2, [*SWEEP, "--vary", "k=2", "--vary", "k=3"]),
+    "sigma1 not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "bogus"]),
+    "vary sigma1 not a number": (2, [*SWEEP, "--vary", "sigma1=bogus"]),
+    "schedule not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--schedule", "a,b"]),
+    "too many geometric widths": (
+        2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],
+    ),
     # 3: malformed input data, binary files, paths that cannot be read or written.
     "missing file": (3, ["solve", "--matrix", "{missing}", "--rhs", "{x}"]),
     "malformed matrix": (3, ["solve", "--matrix", "{short}", "--rhs", "{x}"]),
@@ -436,8 +454,6 @@ EXIT_CASES = {
     "matrix is a directory": (3, ["solve", "--matrix", "{dir}", "--rhs", "{x}"]),
     "output is a directory": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--out-estimate", "{dir}"]),
     "wrong-length rhs": (3, ["solve", "--matrix", "{A}", "--rhs", "{s}"]),
-    "sigma1 not a number": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "bogus"]),
-    "vary sigma1 not a number": (3, [*SWEEP, "--vary", "sigma1=bogus"]),
     # 4-6: rank deficiency, threshold stall, combinatorial guard.
     "rank deficient": (4, ["solve", "--matrix", "{rank1}", "--rhs", "{x2}"]),
     "threshold stall": (

@@ -88,8 +88,39 @@ class TestProjectorFactor:
         proj = ProjectorFactor(a)
         explicit = a.T @ np.linalg.inv(a @ a.T)
         v = rng.standard_normal(n)
-        got = proj.apply(v)
+        got = proj.min_norm(v)
         assert np.linalg.norm(got - explicit @ v) <= 1e-10 * np.linalg.norm(explicit @ v)
+
+    @pytest.mark.parametrize(
+        "s_shape,x_shape",
+        [((9,), (1,)), ((9,), (5,)), ((9,), (4, 1)), ((9, 3), (4,)), ((9, 3), (4, 2)), ((9, 3), (1, 3)), ((8,), (4,))],
+    )
+    @pytest.mark.parametrize("method", ["project", "residual"])
+    def test_operands_not_fitting_a_rejected(self, method, s_shape, x_shape):
+        """``project`` and ``residual`` take a point with m rows and a
+        right-hand side shaped like A·s; a length-1 ``x`` is not broadcast."""
+        proj = ProjectorFactor(unit_column_matrix(np.random.default_rng(3), 4, 9))
+        with pytest.raises(DimensionMismatch):
+            getattr(proj, method)(np.ones(s_shape), np.ones(x_shape))
+
+    @pytest.mark.parametrize("x_shape", [(3,), (5,), (3, 2), (4, 2, 1), ()])
+    def test_min_norm_rejects_wrong_rows(self, x_shape):
+        proj = ProjectorFactor(unit_column_matrix(np.random.default_rng(3), 4, 9))
+        with pytest.raises(DimensionMismatch):
+            proj.min_norm(np.ones(x_shape))
+
+    @pytest.mark.parametrize("t_count", [None, 1, 5])
+    def test_residual_into_out_is_bit_identical(self, t_count):
+        rng = np.random.default_rng(4)
+        a = unit_column_matrix(rng, 6, 14)
+        proj = ProjectorFactor(a)
+        shape = () if t_count is None else (t_count,)
+        s, x = rng.standard_normal((14, *shape)), rng.standard_normal((6, *shape))
+        out = np.empty((6, *shape))
+        fresh = proj.residual(s, x)
+        assert proj.residual(s, x, out=out) is out
+        assert np.array_equal(out, fresh)
+        assert np.array_equal(fresh, a @ s - x)
 
     def test_rejects_rank_deficient(self):
         a = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0]])

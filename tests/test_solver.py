@@ -23,6 +23,7 @@ from sl0.linalg import ProjectorFactor, compute_M, min_norm_solution
 from sl0.penalty import PenaltyFamily
 from sl0.solver import (
     DEFAULT_SCHEDULE,
+    MAX_LEVELS,
     SolverConfig,
     _anneal_block,
     auto_sigma1,
@@ -119,6 +120,22 @@ class TestSchedules:
         fails instead of giving a meaningless sequence."""
         with pytest.raises(ValueError, match="finite|must lie"):
             geometric_schedule(*args)
+
+    def test_level_count_counted_without_the_list(self):
+        """The level count is checked before the sequence is built: a count
+        under MAX_LEVELS gives that many widths, and one over it fails at
+        once, for an explicit start width and for an auto one."""
+        c = 0.999
+        count = math.ceil(math.log(1e-40) / math.log(c)) + 1
+        assert count < MAX_LEVELS
+        assert len(geometric_schedule(1.0, c, 1e-40)) == count
+        with pytest.raises(ValueError, match="widths"):
+            geometric_schedule(1.0, c, 1e-50)
+        with pytest.raises(ValueError, match="widths"):
+            SolverConfig(schedule=None, sigma1=1.0, c=0.9999999999, sigma_min=1e-300)
+        auto = SolverConfig(schedule=None, c=0.9999999999, sigma_min=1e-300)
+        with pytest.raises(ValueError, match="widths"):
+            sl0_solve(TINY_A, TINY_X, auto)
 
 
 class TestAutoSigma1:
@@ -563,6 +580,33 @@ class TestBatch:
         finally:
             tracemalloc.stop()
         assert peak < 3.75 * m * t_count * 8
+
+    @pytest.mark.parametrize("mode", ["fixed", "threshold"])
+    def test_engine_needs_no_dense_matrix(self, mode):
+        """The engine runs on a factor that offers only ``source_dims``,
+        ``min_norm``, ``project`` and ``residual``, and returns the dense
+        factor's estimates and residuals, columns finishing at different
+        levels included."""
+
+        class MatrixFree:
+            def __init__(self, factor):
+                self.source_dims = factor.source_dims
+                self.min_norm, self.project, self.residual = factor.min_norm, factor.project, factor.residual
+
+        rng = np.random.default_rng(31)
+        a = unit_column_matrix(rng, 20, 50)
+        proj = ProjectorFactor(a)
+        block = a @ np.where(rng.random((50, 6)) < 0.1, rng.standard_normal((50, 6)), 0.0)
+        cfgs = [SolverConfig(schedule=None, sigma1=1.0, c=c, mu=2.0, mode=mode) for c in (0.5, 0.8, 0.95)] * 2
+        stand_in = MatrixFree(proj)
+        assert not hasattr(stand_in, "matrix")
+        for got, want in zip(_anneal_block(stand_in, block, cfgs), _anneal_block(proj, block, cfgs), strict=True):
+            if isinstance(want, ThresholdUnreachable):
+                assert isinstance(got, ThresholdUnreachable) and str(got) == str(want)
+                continue
+            assert np.array_equal(got.estimate, want.estimate)
+            assert got.residual_norm == want.residual_norm
+            assert [e.inner_iterations for e in got.trace] == [e.inner_iterations for e in want.trace]
 
     @pytest.mark.parametrize("solve", [sl0_solve, sl0_solve_batch])
     def test_projector_for_another_matrix_rejected(self, solve):
