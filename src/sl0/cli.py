@@ -210,9 +210,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    cfg = _CONFIG(**_solver_fields(args))  # a usage error wins over an unreadable file
     a = linalg.load_matrix(args.matrix)
     x = linalg.load_vector(args.rhs)
-    report = solver.sl0_solve(a, x, _CONFIG(**_solver_fields(args)))
+    report = solver.sl0_solve(a, x, cfg)
     _atomic_write(args.out_estimate, lambda p: linalg.save_vector(p, report.estimate))
     _atomic_write(args.out_report, lambda p: solver.write_report_csv(report, p))
     final = report.trace[-1] if report.trace else None
@@ -227,9 +228,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_batch(args) -> int:
+    cfg = _CONFIG(**_solver_fields(args))
     a = linalg.load_matrix(args.matrix)
     x_block = linalg.load_matrix(args.rhs)
-    reports = solver.sl0_solve_batch(a, x_block, _CONFIG(**_solver_fields(args)))
+    reports = solver.sl0_solve_batch(a, x_block, cfg)
     estimates = [rep.estimate for rep in reports]
 
     def _write_report(path) -> None:

@@ -62,7 +62,9 @@ class ProjectorFactor:
     A⁺ is built once, from the inverse of A·Aᵀ, after that inverse has passed
     the condition check. The operations the solver iterates on are then matrix
     products: ``min_norm(x) = A⁺·x``, ``residual(s, x) = A·s − x``, and the
-    projection onto {s : A·s = x}, which is those two. Each checks its operands.
+    projection onto {s : A·s = x}, which is those two. Each checks its operands,
+    which may be in either memory order. ``matrix`` is a C-ordered copy of A
+    and A⁺ is F-ordered, the layout of the solver's sample-major blocks.
     Everything runs in numpy, so the package uses one BLAS thread pool.
     Immutable after construction; safe to share across concurrent solves.
 
@@ -91,7 +93,9 @@ class ProjectorFactor:
             raise RankDeficient(
                 f"A*A^T condition number {self.condition_estimate:.3e} exceeds {CONDITION_CUTOFF:.0e}"
             )
-        pinv = a.T @ gram_inv
+        # Aᵀ·G⁻¹ as the transpose of the contiguous G⁻¹·A: the same product,
+        # F-ordered, so BLAS multiplies it fastest with sample-major blocks.
+        pinv = (gram_inv @ a).T
         if self.condition_estimate > REFINE_CONDITION:
             # One Newton-Schulz step P <- P + P(I - A·P) squares the error,
             # so projections stay feasible up to the condition cutoff.
@@ -133,7 +137,10 @@ class ProjectorFactor:
         ``s`` itself, which is returned, and ``out`` is left holding the
         correction Aᵀ(A·Aᵀ)⁻¹(A·s − x) that was subtracted. ``residual``,
         shaped like A·s, receives A·s − x in place of a new array. The
-        projection is bit-identical either way.
+        projection is bit-identical either way when they are C-ordered, as
+        the arrays it allocates are; F-ordered ones, such as the solver's
+        sample-major blocks, make BLAS take the other operand order, which
+        agrees to rounding.
         """
         s = np.asarray(s, dtype=float)
         r = self.residual(s, x, out=residual)

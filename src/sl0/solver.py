@@ -150,7 +150,7 @@ class SolverConfig:
         return geometric_schedule(sigma1, self.c, self.sigma_min)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LevelTrace:
     """State at the end of one width level.
 
@@ -209,7 +209,7 @@ def sl0_solve_batch(
     solve to rounding, and in threshold mode the lowest column that cannot
     reach the target raises its ``ThresholdUnreachable`` after the block.
     Each returned report carries the per-sample share of the batch wall
-    time. A call works in place on (2m + n)·T doubles of workspace (19.2 MB
+    time. A call works in place on (2m + 2n)·T doubles of workspace (22.4 MB
     at 400×1000 and T = 1000), allocated once and freed when it returns; the
     estimates it returns take m·T more.
     Successive blocks on an unchanged matrix reuse its factorization, and
@@ -237,13 +237,17 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     The configs may differ in the :data:`WIDTH_FIELDS` alone; the first
     one's other settings are used. The columns are ordered by schedule
     length, longest first, so the columns still annealing at each level are
-    the leading ones; when a
-    column's schedule runs out, its estimate is copied out and the columns
-    still annealing are packed into a contiguous block. Every step runs in
-    place on three workspaces allocated once: the m×T iterate block, an m×T
-    step block and an n×T residual block. A fixed-mode level takes L steps.
-    A threshold-mode level steps until every column's smoothed measure,
-    evaluated on the block at each check, has reached the target; a column
+    the leading ones; when a column's schedule runs out, its estimate is
+    copied out and the block shrinks to the columns still annealing. Every
+    step runs in place on workspaces allocated once, held sample-major:
+    column t of the m×T iterate block, the m×T step block and the n×T
+    residual block is row t of a C-ordered T×m (T×n) array, and so is
+    column t of the right-hand sides, made C-contiguous once. The factor
+    and the penalty see their F-ordered m×k (n×k) transposes, whose active
+    columns are always a prefix of rows, so shrinking the block is a slice.
+    A fixed-mode level takes L steps. A threshold-mode level steps until
+    every column's smoothed measure, evaluated on the block at each check,
+    has reached the target; a column
     that has reached it takes zero steps until the level ends, so each
     column gets exactly the steps of its own solve. A column still below the
     target after max_inner steps is frozen, and its report slot holds the
@@ -258,10 +262,11 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     n, m = proj.source_dims
     target = cfg.target_f if cfg.target_f is not None else m - n / 2.0
     t_count = x_block.shape[1]
-    # Flat buffers: k active columns are the C-ordered m×k (n×k) block at
-    # the front of each, so every elementwise step runs on contiguous memory.
-    s_buf, step_buf, r_buf = np.empty(m * t_count), np.empty(m * t_count), np.empty(n * t_count)
-    s = proj.min_norm(x_block, out=s_buf.reshape(m, t_count))
+    # Sample-major rows: the first k rows of each array are the k active
+    # columns, one contiguous block that every step works on in place.
+    x = np.ascontiguousarray(x_block.T)
+    s_rows, step_rows, r_rows = np.empty((t_count, m)), np.empty((t_count, m)), np.empty((t_count, n))
+    s = proj.min_norm(x.T, out=s_rows.T)
     schedules = []
     for t, col_cfg in enumerate(cfgs):
         sched = col_cfg.resolve_schedule(s[:, t])
@@ -269,25 +274,22 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         if sched is None:
             s[:, t] = 0.0
     order = sorted(range(t_count), key=lambda t: -len(schedules[t]))
-    x = x_block
     if order != sorted(order):
         # mode="clip" writes straight into ``out``; the default mode buffers.
-        s = np.take(s, order, axis=1, out=step_buf.reshape(m, t_count), mode="clip")
-        s_buf, step_buf = step_buf, s_buf
-        x = x_block[:, order]
+        s_rows[...] = np.take(s_rows, order, axis=0, out=step_rows, mode="clip")
+        x = x[order]
         schedules = [schedules[t] for t in order]
     traces: list[list[LevelTrace]] = [[] for _ in range(t_count)]
     reports: list[SolveReport | ThresholdUnreachable | None] = [None] * t_count
 
     def final_residuals(first: int, last: int) -> np.ndarray:
         # One product, into the residual workspace, for the columns finishing together.
-        r = r_buf[: n * (last - first)].reshape(n, last - first)
-        return _column_norms(proj.residual(s[:, first:last], x[:, first:last], out=r))
+        return _column_norms(proj.residual(s_rows[first:last].T, x[first:last].T, out=r_rows[first:last].T))
 
     def finish(first: int, last: int, resid: np.ndarray) -> None:
         for pos in range(first, last):
             reports[order[pos]] = reports[order[pos]] or SolveReport(
-                s[:, pos].copy(), traces[pos], residual_norm=float(resid[pos - first])
+                s_rows[pos].copy(), traces[pos], residual_norm=float(resid[pos - first])
             )
 
     active = t_count
@@ -295,12 +297,8 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         still = sum(len(sch) > level for sch in schedules[:active])
         if still < active:
             finish(still, active, final_residuals(still, active))
-            packed = step_buf[: m * still].reshape(m, still)
-            packed[...] = s[:, :still]
-            s, s_buf, step_buf, active = packed, step_buf, s_buf, still
-        step = step_buf[: m * active].reshape(m, active)
-        r = r_buf[: n * active].reshape(n, active)
-        x_act = x[:, :active]
+            active = still
+        s, step, r, x_act = s_rows[:active].T, step_rows[:active].T, r_rows[:active].T, x[:active].T
         sigmas = np.array([sch[level] for sch in schedules[:active]])
         if cfg.mode == "threshold":
             f_tot = fam.total(s, sigmas, axis=0, out=step)
@@ -340,12 +338,13 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
                     f_total=float(f_tot[pos]),
                     residual_norm=float(resid[pos]),
                     inner_iterations=int(inner[pos]),
-                    estimate=s[:, pos].copy() if cfg.record_estimates else None,
+                    estimate=s_rows[pos].copy() if cfg.record_estimates else None,
                 )
             )
     resid = final_residuals(0, active)
-    # Release the step and residual buffers before the last estimates are copied out.
-    step_buf = r_buf = step = r = None
+    # Release the step, residual and right-hand-side blocks before the last
+    # estimates are copied out.
+    step_rows = r_rows = x = step = r = x_act = None
     finish(0, active, resid)
     return reports
 

@@ -444,6 +444,10 @@ EXIT_CASES = {
     "sigma1 not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "bogus"]),
     "vary sigma1 not a number": (2, [*SWEEP, "--vary", "sigma1=bogus"]),
     "schedule not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--schedule", "a,b"]),
+    "bad flag beside missing file": (2, ["solve", "--matrix", "{missing}", "--rhs", "{x}", "--sigma1", "bogus"]),
+    "batch bad flag beside missing file": (
+        2, ["batch", "--matrix", "{missing}", "--rhs", "{x}", "--sigma1", "bogus"],
+    ),
     "too many geometric widths": (
         2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],
     ),

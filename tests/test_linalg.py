@@ -262,6 +262,47 @@ class TestPrecomputedPseudoinverse:
         assert np.array_equal(s - step, expected)
         assert np.array_equal(residual, a @ s - x)
 
+    @pytest.mark.parametrize("n,m", [(40, 100), (400, 1000)])
+    @pytest.mark.parametrize("t", [1, 3, 10])
+    def test_sample_major_views_give_the_allocating_values(self, n, m, t):
+        """min_norm, residual and project on the F-ordered transposes of the
+        leading rows of C-ordered T×m (T×n) arrays, the solver's sample-major
+        blocks, with ``out`` and ``residual`` views of the same kind, equal
+        their allocating calls. ``residual`` does so bit for bit at every
+        shape. The products with A⁺ into an F-ordered ``out`` take BLAS's
+        other operand order: OpenBLAS rounds the two orders alike at n = 400
+        (bit for bit here) but not at every n (n = 40 agrees to rounding)."""
+        rng = np.random.default_rng(35)
+        a = unit_column_matrix(rng, n, m)
+        proj = ProjectorFactor(a)
+
+        def rows(length, values=None):
+            block = np.full((13, length), np.nan)[:t].T
+            if values is not None:
+                block[...] = values
+            return block
+
+        def assert_matches(got, want):
+            if n == 400:
+                assert np.array_equal(got, want)
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+        x, s = rows(n, rng.standard_normal((n, t))), rows(m, 3.0 * rng.standard_normal((m, t)))
+        assert x.flags.f_contiguous and s.flags.f_contiguous
+        out = rows(m)
+        assert proj.min_norm(x, out=out) is out
+        assert_matches(out, proj.min_norm(x))
+        out = rows(n)
+        assert proj.residual(s, x, out=out) is out
+        assert np.array_equal(out, proj.residual(s, x))
+        expected = proj.project(s, x)
+        point, step, residual = rows(m, s), rows(m), rows(n)
+        assert proj.project(point, x, out=step, residual=residual) is point
+        assert_matches(point, expected)
+        assert np.array_equal(s - step, point)
+        assert np.array_equal(residual, proj.residual(s, x))
+
     def test_feasible_on_ill_conditioned_matrix(self):
         """A·Aᵀ condition near 1e10, two decades under the cutoff: the
         minimum-norm solution and projections still meet A·s = x to 1e-9."""

@@ -460,6 +460,26 @@ class TestBatch:
             single = sl0_solve(a, block[:, t], SolverConfig(schedule=None, c=0.5, sigma_min=0.01))
             assert np.linalg.norm(reports[t].estimate - single.estimate) <= 1e-9
 
+    @pytest.mark.parametrize("t_count", [1, 3, 10])
+    def test_memory_order_of_inputs_changes_nothing(self, t_count):
+        """C- and F-ordered ``a`` and ``x_block`` give the same reports bit
+        for bit, the factor built from either order included."""
+        rng = np.random.default_rng(23)
+        a = unit_column_matrix(rng, 30, 80)
+        block = a @ np.where(rng.random((80, t_count)) < 0.1, rng.standard_normal((80, t_count)), 0.0)
+        cfg = SolverConfig(schedule=None, c=0.7, sigma_min=0.01)
+        want = sl0_solve_batch(a, block, cfg, projector=ProjectorFactor(a))
+        fortran_a, fortran_x = np.asfortranarray(a), np.asfortranarray(block)
+        assert fortran_a.flags.f_contiguous and not fortran_a.flags.c_contiguous
+        for a_in, x_in in ((fortran_a, block), (a, fortran_x), (fortran_a, fortran_x)):
+            got = sl0_solve_batch(a_in, x_in, cfg, projector=ProjectorFactor(a_in))
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.estimate, w.estimate)
+                assert g.residual_norm == w.residual_norm
+                assert [(e.f_total, e.residual_norm) for e in g.trace] == [
+                    (e.f_total, e.residual_norm) for e in w.trace
+                ]
+
     def test_threshold_mode_batch(self):
         cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold")
         block = np.column_stack([STALL_X, 0.5 * STALL_X])
@@ -563,10 +583,11 @@ class TestBatch:
 
     def test_second_block_allocates_no_step_temporaries(self):
         """A fixed-mode block on a prebuilt factor peaks below 3.75·m·T
-        doubles of new memory: its workspaces ((2m + n)·T = 2.4·m·T here)
-        beside the traces it returns (≈ 0.9·m·T); the step and residual
-        blocks are freed before the estimates are copied out. One m×T
-        temporary per step would add m·T."""
+        doubles of new memory: its workspaces, the sample-major iterate,
+        step and residual blocks and the copy of the right-hand sides
+        ((2m + 2n)·T = 2.8·m·T here), beside the traces it returns
+        (≈ 0.75·m·T); all but the iterate block are freed before the
+        estimates are copied out. One m×T temporary per step would add m·T."""
         n, m, t_count = 80, 200, 500
         rng = np.random.default_rng(27)
         a = unit_column_matrix(rng, n, m)
