@@ -294,7 +294,7 @@ def cmd_sweep(args) -> int:
             row["sigma1"] = "auto"  # as --sigma1 reads it
     _atomic_write(args.out, lambda p: expgen.write_sweep_csv(rows, p))
     if args.per_trial is not None:
-        _atomic_write(args.per_trial, lambda p: expgen.write_trials_csv(trial_rows, p))
+        _atomic_write(args.per_trial, lambda p: expgen.write_sweep_csv(trial_rows, p))
     for row in rows:
         print(" ".join(f"{k}={v}" for k, v in row.items()))
     return EXIT_OK

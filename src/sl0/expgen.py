@@ -225,16 +225,14 @@ def run_trial(point: SweepPoint, run_index: int, base_seed: int) -> TrialResult:
     return _solve_trial(point, run_index, a, s_true, x)
 
 
-def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x, projector=None) -> TrialResult:
-    """Solve one drawn problem, with a prebuilt factor of ``a`` when given,
-    and score the estimate; the time covers the solve call only."""
+def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x) -> TrialResult:
+    """Solve one drawn problem on its matrix or that matrix's factor, and
+    score the estimate; the time covers the solve call only."""
     started = time.perf_counter()
     if point.solver == "sl0":
-        estimate = sl0_solve(a, x, point, projector=projector).estimate
+        estimate = sl0_solve(a, x, point).estimate
     elif point.solver == "irls":
-        estimate = irls_solve(
-            a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer, projector=projector
-        )
+        estimate = irls_solve(a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer)
     else:
         raise ValueError(f"unknown solver {point.solver!r}; choose sl0 or irls")
     return _score(s_true, estimate, time.perf_counter() - started, run_index)
@@ -371,7 +369,7 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             except Sl0Error as exc:
                 factor = exc
             shared[key] = (a, factor)
-        problems.append((a, s_true, x, factor))
+        problems.append((s_true, x, factor))
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
         elif point.solver == "sl0":
@@ -381,8 +379,8 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             singles.append(i)
 
     for members in blocks.values():
-        factor = problems[members[0]][3]
-        x_block = np.column_stack([problems[i][2] for i in members])
+        factor = problems[members[0]][2]
+        x_block = np.column_stack([problems[i][1] for i in members])
         started = time.perf_counter()
         reports = _anneal_block(factor, x_block, [points[i][1] for i in members])
         per_sample = (time.perf_counter() - started) / len(members)
@@ -390,9 +388,10 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             if isinstance(report, Sl0Error):
                 outcomes[i] = report
             else:
-                outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
+                outcomes[i] = _outcome(_score, problems[i][0], report.estimate, per_sample, run_index)
     for i in singles:
-        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, *problems[i])
+        s_true, x, factor = problems[i]
+        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, factor, s_true, x)
     return outcomes
 
 
@@ -411,7 +410,9 @@ def _format_cell(v) -> str:
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
-    """Summary CSV: the varied parameters followed by the aggregate columns."""
+    """Rows as CSV under the keys of the first row: a sweep's summary rows
+    (the varied parameters, then the aggregate columns) or its long-format
+    per-trial rows, one per (grid point, run)."""
     if not rows:
         raise ValueError("no rows to write")
     header = list(rows[0])
@@ -420,8 +421,3 @@ def write_sweep_csv(rows: list[dict], path) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_format_cell(row[k]) for k in header])
-
-
-def write_trials_csv(trial_rows: list[dict], path) -> None:
-    """Long-format per-trial CSV, one row per (grid point, run)."""
-    write_sweep_csv(trial_rows, path)

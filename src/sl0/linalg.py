@@ -67,6 +67,8 @@ class ProjectorFactor:
     and A⁺ is F-ordered, the layout of the solver's sample-major blocks.
     Everything runs in numpy, so the package uses one BLAS thread pool.
     Immutable after construction; safe to share across concurrent solves.
+    The functions that take the matrix A to solve with accept its factor in
+    its place.
 
     ``condition_estimate`` is the exact 1-norm condition number
     ‖A·Aᵀ‖₁·‖(A·Aᵀ)⁻¹‖₁, taken from the inverse the build needs anyway.
@@ -160,23 +162,23 @@ class ProjectorFactor:
 _last_factor: ProjectorFactor | None = None
 
 
-def _factor_of(a, projector: ProjectorFactor | None = None) -> ProjectorFactor:
-    """The factor that serves ``a``: ``projector`` once checked against the
-    shape of ``a`` when given, else the last one built when its matrix
-    equals ``a`` entry for entry, else a new one.
+def _factor_of(a) -> ProjectorFactor:
+    """The factor that serves ``a``: ``a`` itself when it is a
+    :class:`ProjectorFactor`, else the last one built when its matrix equals
+    ``a`` entry for entry, else a new one.
 
     The key is the matrix contents, never the array's identity, so callers
-    may change their array in place between calls. No lock is needed: a
-    thread reading a stale slot can only get a factor whose matrix equals
-    ``a``, and two concurrent misses merely build twice.
+    may change their array in place between calls. Only a miss validates
+    ``a``: a matrix equal to the kept one passes every check that one
+    passed, and a NaN never equals itself, so a matrix holding one always
+    misses and the build rejects it. No lock is needed: a thread reading a
+    stale slot can only get a factor whose matrix equals ``a``, and two
+    concurrent misses merely build twice.
     """
     global _last_factor
-    if projector is not None:
-        n, m = projector.source_dims
-        if np.shape(a) != (n, m):
-            raise DimensionMismatch(f"projector was built for a {n}x{m} matrix, got shape {np.shape(a)}")
-        return projector
-    a = as_matrix(a)
+    if isinstance(a, ProjectorFactor):
+        return a
+    a = np.asarray(a, dtype=float)
     last = _last_factor
     if last is not None and np.array_equal(last.matrix, a):
         return last
@@ -192,11 +194,6 @@ def _factor_of(a, projector: ProjectorFactor | None = None) -> ProjectorFactor:
 def min_norm_solution(a, x) -> np.ndarray:
     """Minimum Euclidean-norm solution Aᵀ(A·Aᵀ)⁻¹x of the wide system A·s = x."""
     return _factor_of(a).min_norm(as_vector(x))
-
-
-def project_feasible(p: ProjectorFactor, s, x) -> np.ndarray:
-    """Project ``s`` onto the feasible set of A·s = x using a cached factor."""
-    return p.project(as_vector(s), as_vector(x))
 
 
 def _enumeration_guard(n: int, m: int) -> None:

@@ -183,24 +183,22 @@ class SolveReport:
     residual_norm: float = 0.0
 
 
-def sl0_solve(a, x, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None) -> SolveReport:
+def sl0_solve(a, x, cfg: SolverConfig | None = None) -> SolveReport:
     """Recover a sparse solution of the underdetermined system A·s = x.
 
-    The factorization of A·Aᵀ (with its row-rank check) is built on the
-    first call for a matrix and reused by later calls, from any caller,
-    while the matrix passed in equals it entry for entry; only the last
-    matrix's factor is kept. A caller alternating several matrices can build
-    one ``ProjectorFactor`` per matrix and pass it as ``projector``; it must
-    have been built for a matrix of the shape of ``a``. The estimate is the
-    same either way. This is :func:`sl0_solve_batch` on a block of one
-    column, so ``wall_time`` is the whole call's.
+    ``a`` is the matrix A or a ``ProjectorFactor`` of it. For a matrix, the
+    factorization of A·Aᵀ (with its row-rank check) is built on the first
+    call and reused by later calls, from any caller, while the matrix passed
+    in equals it entry for entry; only the last matrix's factor is kept. A
+    caller alternating several matrices can build one ``ProjectorFactor``
+    per matrix and pass it as ``a``. The estimate is the same either way.
+    This is :func:`sl0_solve_batch` on a block of one column, so
+    ``wall_time`` is the whole call's.
     """
-    return sl0_solve_batch(a, as_vector(x)[:, None], cfg, projector=projector)[0]
+    return sl0_solve_batch(a, as_vector(x)[:, None], cfg)[0]
 
 
-def sl0_solve_batch(
-    a, x_block, cfg: SolverConfig | None = None, *, projector: ProjectorFactor | None = None
-) -> list[SolveReport]:
+def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveReport]:
     """Solve one system per column of an n×T block of right-hand sides.
 
     A single factorization of A·Aᵀ is shared across columns, which advance
@@ -212,13 +210,12 @@ def sl0_solve_batch(
     time. A call works in place on (2m + 2n)·T doubles of workspace (22.4 MB
     at 400×1000 and T = 1000), allocated once and freed when it returns; the
     estimates it returns take m·T more.
-    Successive blocks on an unchanged matrix reuse its factorization, and
-    ``projector`` serves callers alternating several matrices, both as in
-    :func:`sl0_solve`.
+    ``a`` is the matrix or its factor, as in :func:`sl0_solve`, so
+    successive blocks on an unchanged matrix reuse its factorization.
     """
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
-    proj = _factor_of(a, projector)
+    proj = _factor_of(a)
     x_block = as_matrix(x_block)
     t_count = x_block.shape[1]
     reports = _anneal_block(proj, x_block, [cfg] * t_count)
@@ -395,18 +392,16 @@ def error_upper_bound(a, s_hat) -> float:
     return (big_m + 1.0) * m * alpha
 
 
-def irls_solve(
-    a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: float = 1e-8, *, projector: ProjectorFactor | None = None
-) -> np.ndarray:
+def irls_solve(a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: float = 1e-8) -> np.ndarray:
     """Iteratively reweighted least-squares baseline.
 
     Repeats s <- W·Aᵀ(A·W·Aᵀ)⁻¹·x with W = diag(|s_i|^(2-p) + regularizer),
     starting from the minimum-norm solution. Each iterate is feasible by
-    construction. ``projector`` is a prebuilt factor of ``a``, as in
-    :func:`sl0_solve`; the reweighted systems are formed from its dense
-    ``matrix``.
+    construction. ``a`` is the matrix or its factor, as in
+    :func:`sl0_solve`; the reweighted systems are formed from the factor's
+    dense ``matrix``.
     """
-    proj = _factor_of(a, projector)
+    proj = _factor_of(a)
     x = as_vector(x)
     mat = proj.matrix
     s = proj.min_norm(x)

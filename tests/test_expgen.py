@@ -24,7 +24,6 @@ from sl0.expgen import (
     run_trial,
     snr_db,
     write_sweep_csv,
-    write_trials_csv,
 )
 from sl0.linalg import check_urp
 from sl0.penalty import PenaltyFamily
@@ -475,7 +474,7 @@ class TestCsvOutput:
         base = SweepPoint(m=30, n=12, k=3)
         _, trials = run_sweep({"k": [2]}, runs=2, base_seed=1, base=base, collect_trials=True)
         path = tmp_path / "trials.csv"
-        write_trials_csv(trials, path)
+        write_sweep_csv(trials, path)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("k,run_index,seed,snr_db")
         assert len(lines) == 3

@@ -21,7 +21,6 @@ from sl0.linalg import (
     load_matrix,
     load_vector,
     min_norm_solution,
-    project_feasible,
     save_matrix,
     save_vector,
 )
@@ -377,14 +376,14 @@ class TestProjectFeasible:
         proj = ProjectorFactor(a)
         s = rng.standard_normal(12)
         x = a @ s
-        np.testing.assert_allclose(project_feasible(proj, s, x), s, atol=1e-12)
+        np.testing.assert_allclose(proj.project(s, x), s, atol=1e-12)
 
     def test_projection_of_origin_is_min_norm(self):
         rng = np.random.default_rng(4)
         a = unit_column_matrix(rng, 5, 12)
         x = rng.standard_normal(5)
         np.testing.assert_allclose(
-            project_feasible(ProjectorFactor(a), np.zeros(12), x),
+            ProjectorFactor(a).project(np.zeros(12), x),
             min_norm_solution(a, x),
             atol=1e-13,
         )
@@ -396,7 +395,7 @@ class TestProjectFeasible:
         s = rng.standard_normal(12)
         x = rng.standard_normal(5)
         expected = s - a.T @ np.linalg.inv(a @ a.T) @ (a @ s - x)
-        got = project_feasible(proj, s, x)
+        got = proj.project(s, x)
         assert np.linalg.norm(got - expected) <= 1e-10 * max(1.0, np.linalg.norm(expected))
 
     def test_idempotent(self):
@@ -404,8 +403,8 @@ class TestProjectFeasible:
         a = unit_column_matrix(rng, 5, 12)
         proj = ProjectorFactor(a)
         x = rng.standard_normal(5)
-        once = project_feasible(proj, rng.standard_normal(12) * 5.0, x)
-        twice = project_feasible(proj, once, x)
+        once = proj.project(rng.standard_normal(12) * 5.0, x)
+        twice = proj.project(once, x)
         assert np.linalg.norm(twice - once) <= 1e-10
 
     def test_feasibility_after_projection(self):
@@ -413,7 +412,7 @@ class TestProjectFeasible:
         a = unit_column_matrix(rng, 5, 12)
         proj = ProjectorFactor(a)
         x = rng.standard_normal(5)
-        s = project_feasible(proj, rng.standard_normal(12), x)
+        s = proj.project(rng.standard_normal(12), x)
         assert np.linalg.norm(a @ s - x) <= RESIDUAL_TOL * max(1.0, np.linalg.norm(x))
 
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import max_left_inverse_norm, one_sparse_instance, sparsest_by_enumeration, unit_column_matrix
 from sl0.errors import (
     DimensionMismatch,
+    ParseError,
     RankDeficient,
     ThresholdUnreachable,
     TooLarge,
@@ -240,7 +241,7 @@ class TestSl0Solve:
         proj = ProjectorFactor(a)
         x = rng.standard_normal(4)
         np.testing.assert_array_equal(
-            sl0_solve(a, x).estimate, sl0_solve(a, x, projector=proj).estimate
+            sl0_solve(a, x).estimate, sl0_solve(proj, x).estimate
         )
 
     def test_ascent_tendency_within_levels(self):
@@ -468,11 +469,11 @@ class TestBatch:
         a = unit_column_matrix(rng, 30, 80)
         block = a @ np.where(rng.random((80, t_count)) < 0.1, rng.standard_normal((80, t_count)), 0.0)
         cfg = SolverConfig(schedule=None, c=0.7, sigma_min=0.01)
-        want = sl0_solve_batch(a, block, cfg, projector=ProjectorFactor(a))
+        want = sl0_solve_batch(ProjectorFactor(a), block, cfg)
         fortran_a, fortran_x = np.asfortranarray(a), np.asfortranarray(block)
         assert fortran_a.flags.f_contiguous and not fortran_a.flags.c_contiguous
         for a_in, x_in in ((fortran_a, block), (a, fortran_x), (fortran_a, fortran_x)):
-            got = sl0_solve_batch(a_in, x_in, cfg, projector=ProjectorFactor(a_in))
+            got = sl0_solve_batch(ProjectorFactor(a_in), x_in, cfg)
             for g, w in zip(got, want, strict=True):
                 assert np.array_equal(g.estimate, w.estimate)
                 assert g.residual_norm == w.residual_norm
@@ -505,14 +506,14 @@ class TestBatch:
         proj = ProjectorFactor(a)
         for scale, a_given in ((1.0, a), (-2.0, a.copy())):  # one factor serves successive blocks
             own = sl0_solve_batch(a_given, scale * block, cfg)
-            shared = sl0_solve_batch(a, scale * block, cfg, projector=proj)
+            shared = sl0_solve_batch(proj, scale * block, cfg)
             for r_own, r_shared in zip(own, shared, strict=True):
                 assert np.array_equal(r_own.estimate, r_shared.estimate)
                 assert [(e.sigma, e.f_total, e.residual_norm) for e in r_own.trace] == [
                     (e.sigma, e.f_total, e.residual_norm) for e in r_shared.trace
                 ]
             single = sl0_solve(a_given, scale * block[:, 0], cfg)
-            assert np.array_equal(single.estimate, sl0_solve(a, scale * block[:, 0], cfg, projector=proj).estimate)
+            assert np.array_equal(single.estimate, sl0_solve(proj, scale * block[:, 0], cfg).estimate)
         assert len(factor_builds) == 2  # the prebuilt one and the first block's
 
     def test_caller_arrays_unchanged(self):
@@ -522,7 +523,7 @@ class TestBatch:
         proj = ProjectorFactor(a)
         saved = a.copy(), block.copy(), proj.matrix.copy()
         for cfg in (SolverConfig(), SolverConfig(schedule=None)):  # one schedule, then sorted columns
-            sl0_solve_batch(a, block, cfg, projector=proj)
+            sl0_solve_batch(proj, block, cfg)
             for before, after in zip(saved, (a, block, proj.matrix)):
                 assert np.array_equal(before, after)
 
@@ -578,7 +579,7 @@ class TestBatch:
             return matmul(*args, **kwargs)
 
         monkeypatch.setattr(np, "matmul", counting)
-        sl0_solve_batch(a, block, projector=proj)
+        sl0_solve_batch(proj, block)
         assert len(calls) == 1 + 2 * 3 * len(DEFAULT_SCHEDULE) + 1
 
     def test_second_block_allocates_no_step_temporaries(self):
@@ -593,10 +594,10 @@ class TestBatch:
         a = unit_column_matrix(rng, n, m)
         proj = ProjectorFactor(a)
         block = a @ np.where(rng.random((m, t_count)) < 0.1, rng.standard_normal((m, t_count)), 0.0)
-        sl0_solve_batch(a, block, projector=proj)
+        sl0_solve_batch(proj, block)
         tracemalloc.start()
         try:
-            sl0_solve_batch(a, block, projector=proj)
+            sl0_solve_batch(proj, block)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -629,19 +630,38 @@ class TestBatch:
             assert got.residual_norm == want.residual_norm
             assert [e.inner_iterations for e in got.trace] == [e.inner_iterations for e in want.trace]
 
-    @pytest.mark.parametrize("solve", [sl0_solve, sl0_solve_batch])
-    def test_projector_for_another_matrix_rejected(self, solve):
-        rng = np.random.default_rng(24)
-        a = unit_column_matrix(rng, 40, 100)
-        x = rng.standard_normal(3)  # fits the projector, not ``a``
-        proj = ProjectorFactor(unit_column_matrix(rng, 3, 6))
-        with pytest.raises(DimensionMismatch, match="3x6"):
-            solve(a, x if solve is sl0_solve else x[:, None], projector=proj)
+
+    @pytest.mark.parametrize("mode", ["fixed", "threshold"])
+    @pytest.mark.parametrize("t_count", [1, 4])
+    def test_factor_in_place_of_matrix(self, mode, t_count, factor_builds):
+        """A ``ProjectorFactor`` passed where the matrix goes gives the
+        matrix's estimates, traces and residuals bit for bit, and builds
+        nothing."""
+        rng = np.random.default_rng(32)
+        a = unit_column_matrix(rng, 20, 50)
+        block = a @ np.where(rng.random((50, t_count)) < 0.06, rng.standard_normal((50, t_count)), 0.0)
+        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=0.01, mu=2.0, mode=mode)
+        proj = ProjectorFactor(a)
+        via_factor = (
+            sl0_solve_batch(proj, block, cfg),
+            [sl0_solve(proj, block[:, 0], cfg)],
+            irls_solve(proj, block[:, 0]),
+        )
+        assert len(factor_builds) == 1  # the prebuilt one
+        via_matrix = (sl0_solve_batch(a, block, cfg), [sl0_solve(a, block[:, 0], cfg)], irls_solve(a, block[:, 0]))
+        for got, want in zip(via_factor[:2], via_matrix[:2]):
+            for g, w in zip(got, want, strict=True):
+                assert np.array_equal(g.estimate, w.estimate)
+                assert g.residual_norm == w.residual_norm
+                assert [(e.sigma, e.f_total, e.residual_norm, e.inner_iterations) for e in g.trace] == [
+                    (e.sigma, e.f_total, e.residual_norm, e.inner_iterations) for e in w.trace
+                ]
+        assert np.array_equal(via_factor[2], via_matrix[2])
 
 
 class TestFactorReuse:
-    """Calls without ``projector=`` build a factor only for a matrix whose
-    contents differ from the last one factored."""
+    """Calls given a matrix build a factor only for one whose contents
+    differ from the last one factored."""
 
     def test_blocks_on_one_matrix_build_once(self, factor_builds):
         rng = np.random.default_rng(25)
@@ -655,6 +675,21 @@ class TestFactorReuse:
         for _ in range(3):
             sl0_solve(unit_column_matrix(rng, 6, 15), rng.standard_normal(6))
         assert len(factor_builds) == 3
+
+    def test_malformed_matrix_after_a_solve_rejected(self):
+        """A matrix is validated on a miss: a NaN never equals the kept
+        matrix, and neither does an input of another shape."""
+        rng = np.random.default_rng(33)
+        a = unit_column_matrix(rng, 6, 15)
+        x = rng.standard_normal(6)
+        sl0_solve(a, x)
+        bad = a.copy()
+        bad[3, 4] = np.nan
+        with pytest.raises(ParseError):
+            sl0_solve(bad, x)
+        sl0_solve(a, x)
+        with pytest.raises(DimensionMismatch):
+            sl0_solve(a[0], x)
 
     def test_one_ulp_change_in_place_refactors(self, factor_builds):
         rng = np.random.default_rng(27)
@@ -688,7 +723,7 @@ class TestFactorReuse:
         mats = [unit_column_matrix(rng, 6, 15), unit_column_matrix(rng, 6, 15)]
         blocks = [rng.standard_normal((6, 3)), rng.standard_normal((6, 3))]
         expected = [
-            np.column_stack([r.estimate for r in sl0_solve_batch(a, x, projector=ProjectorFactor(a))])
+            np.column_stack([r.estimate for r in sl0_solve_batch(ProjectorFactor(a), x)])
             for a, x in zip(mats, blocks)
         ]
         mismatches = []
