@@ -369,7 +369,7 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             except Sl0Error as exc:
                 factor = exc
             shared[key] = (a, factor)
-        problems.append((s_true, x, factor))
+        problems.append((factor, s_true, x))
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
         elif point.solver == "sl0":
@@ -379,8 +379,8 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             singles.append(i)
 
     for members in blocks.values():
-        factor = problems[members[0]][2]
-        x_block = np.column_stack([problems[i][1] for i in members])
+        factor = problems[members[0]][0]
+        x_block = np.column_stack([problems[i][2] for i in members])
         started = time.perf_counter()
         reports = _anneal_block(factor, x_block, [points[i][1] for i in members])
         per_sample = (time.perf_counter() - started) / len(members)
@@ -388,10 +388,9 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             if isinstance(report, Sl0Error):
                 outcomes[i] = report
             else:
-                outcomes[i] = _outcome(_score, problems[i][0], report.estimate, per_sample, run_index)
+                outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
     for i in singles:
-        s_true, x, factor = problems[i]
-        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, factor, s_true, x)
+        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, *problems[i])
     return outcomes
 
 

@@ -93,7 +93,6 @@ def test_gaussian_tail_below_one_over_m(m):
         assert fam.value(s, sigma) < 1.0 / m
 
 
-
 @pytest.mark.parametrize("ratio", [38.0, 38.5, 40.0, 1e3])
 def test_gaussian_far_tail_clamped_without_moving_the_step(ratio):
     """Beyond |s| ≈ 37σ the gaussian value is held at e⁻⁷⁰⁰, off numpy's
@@ -106,6 +105,7 @@ def test_gaussian_far_tail_clamped_without_moving_the_step(ratio):
     assert np.all(value == np.exp(-700.0))  # held there, not left to underflow
     mu = 2.5
     assert np.array_equal(s - mu * fam.ascent_direction(s, sigma), s)
+
 
 class TestTotal:
     def test_zero_vector_sums_to_length(self):
