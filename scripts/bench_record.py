@@ -7,10 +7,8 @@ turn so they share the machine's drift (their order reversed on every other
 repeat) and with one seed per repeat shared by all of them; the end-to-end
 metrics come from the last JSON line of each run. After the
 repeats, one ``--trace 1`` run per workload and checkout gives the per-layer
-metrics. ``--workload``, repeatable, restricts both to the workloads named;
-the default is all four. The batch-width reference, run whatever the
-workloads, times ``sl0_solve_batch`` per sample over T in
-{1, 5, 10, 100, 1000} on one reference-point matrix (m = 1000, n = 400,
+metrics. The batch-width reference times ``sl0_solve_batch`` per sample over
+T in {1, 5, 10, 100, 1000} on one reference-point matrix (m = 1000, n = 400,
 k = 100, noise 0.01), once per repeat and checkout: one untimed warm-up
 block, then the median over at least 100 samples and 5 blocks per width.
 
@@ -25,8 +23,6 @@ Run from the root of a checkout:
 
     python3 scripts/bench_record.py --checkout parent=../parent --checkout change=. \\
         --repeats 5 --seconds 30 --out BENCH.json
-
-or, for ten repeats of one workload, add ``--workload batch_wide --repeats 10``.
 """
 
 from __future__ import annotations
@@ -129,13 +125,13 @@ def git_describe(path: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
-def record(checkouts: dict[str, Path], workloads: list[str], repeats: int, seconds: int, seed: int) -> dict:
-    runs: dict = {label: {w: [] for w in workloads} for label in checkouts}
+def record(checkouts: dict[str, Path], repeats: int, seconds: int, seed: int) -> dict:
+    runs: dict = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     widths: dict = {label: [] for label in checkouts}
     labels = list(checkouts)
     for rep in range(repeats):
         turn = labels if rep % 2 == 0 else labels[::-1]
-        for workload in workloads:
+        for workload in WORKLOADS:
             for label in turn:
                 result = run_perfbench(checkouts[label], workload, seed + rep, seconds, 0)
                 runs[label][workload].append(result)
@@ -144,11 +140,11 @@ def record(checkouts: dict[str, Path], workloads: list[str], repeats: int, secon
         for label in turn:
             widths[label].append(run_child(checkouts[label], "widths", str(seed + rep)))
     traced = {(label, w): run_perfbench(checkouts[label], w, seed, seconds, 1)["metrics"]
-              for w in workloads for label in labels}
+              for w in WORKLOADS for label in labels}
     out: dict = {}
     for label, path in checkouts.items():
         side: dict = {"commit": git_describe(path), "env": run_child(path, "env")}
-        for workload in workloads:
+        for workload in WORKLOADS:
             results = runs[label][workload]
             names = results[0]["metrics"]
             side[workload] = {
@@ -172,8 +168,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--checkout", action="append", default=[], metavar="LABEL=PATH",
                         help="a checkout to measure; repeat for each (alternated in the order given)")
-    parser.add_argument("--workload", action="append", choices=WORKLOADS,
-                        help="a workload to run; repeat for each (default: all four)")
     parser.add_argument("--repeats", type=int, default=5, help="untraced runs per workload and checkout")
     parser.add_argument("--seconds", type=int, default=30, help="length of each perfbench run")
     parser.add_argument("--seed", type=int, default=1, help="seed of the first repeat; repeat r uses seed + r")
@@ -195,14 +189,12 @@ def main() -> int:
         if not (checkouts[label] / "perfbench" / "run.py").is_file():
             parser.error(f"{path} has no perfbench/run.py")
     started = time.time()
-    workloads = list(dict.fromkeys(args.workload or WORKLOADS))
-    results = record(checkouts, workloads, args.repeats, args.seconds, args.seed)
+    results = record(checkouts, args.repeats, args.seconds, args.seed)
     bench = {
         "recorded_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime(started)),
         "wall_s": round(time.time() - started, 1),
         "repeats": args.repeats,
         "seconds": args.seconds,
-        "workloads": workloads,
         "seeds": [args.seed + r for r in range(args.repeats)],
         "machine": {
             "cpu_count": os.cpu_count(),

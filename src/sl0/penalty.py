@@ -66,7 +66,7 @@ class PenaltyFamily:
 
         ``out``, an array of the broadcast shape of ``s`` and ``sigma``,
         receives the values in place of a new array; they are bit-identical
-        either way. Gaussian values below e⁻⁷⁰⁰ come back as e⁻⁷⁰⁰.
+        either way.
         """
         _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
@@ -77,11 +77,6 @@ class PenaltyFamily:
             # exp(-(s·s) / (2σ²)): dividing by -2σ² rounds exactly as negating first.
             np.multiply(s, s, out=out)
             np.divide(out, -2.0 * np.square(sigma), out=out)
-            # numpy's exp leaves its vector path for results below the
-            # smallest normal double (arguments under about -708.4) and runs
-            # many times slower there. The clamp acts only where |s| > 37σ,
-            # where s·e⁻⁷⁰⁰ is far below half an ulp of s, so no step moves.
-            np.maximum(out, -700.0, out=out)
             return np.exp(out, out=out)
         if self.kind == "triangular":
             np.divide(np.abs(s, out=out), sigma, out=out)
