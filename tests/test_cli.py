@@ -7,7 +7,7 @@ import pytest
 from sl0 import cli
 from sl0.expgen import MixingSpec, SourceModel, SweepPoint, generate_problem, run_sweep, run_trial, snr_db
 from sl0.linalg import load_matrix, load_vector, save_matrix, save_vector
-from sl0.solver import DEFAULT_SCHEDULE, SolverConfig, sl0_solve
+from sl0.solver import DEFAULT_SCHEDULE, SolverConfig, sl0_solve, sl0_solve_batch
 
 
 def run_cli(*args) -> int:
@@ -217,6 +217,23 @@ class TestBatchCommand:
         assert len(rows) == 3
         for t, row in enumerate(rows):
             assert float(row["final_residual"]) <= 1e-9 * np.linalg.norm(block[:, t])
+
+        # The header's order, and cells written to 17 digits that read back
+        # as the in-process reports' values exactly.
+        header = ["column", "final_sigma", "final_F", "final_residual", "inner_iters_total", "per_sample_s"]
+        assert list(rows[0]) == header
+        a = load_matrix(tmp_path / "A.mat")
+        reports = sl0_solve_batch(a, load_matrix(tmp_path / "X.mat"), SolverConfig(schedule=None))
+        for t, (row, rep) in enumerate(zip(rows[:2], reports)):
+            assert row["column"] == str(t)
+            assert float(row["final_sigma"]) == rep.trace[-1].sigma
+            assert float(row["final_F"]) == rep.trace[-1].f_total
+            assert float(row["final_residual"]) == rep.residual_norm
+            assert int(row["inner_iters_total"]) == sum(e.inner_iterations for e in rep.trace)
+            for key in ("final_F", "final_residual", "per_sample_s"):
+                assert row[key] == f"{float(row[key]):.17g}"
+        # The zero column has no width level: no final width or measure.
+        assert (rows[2]["final_sigma"], rows[2]["final_F"], rows[2]["inner_iters_total"]) == ("", "", "0")
 
     def test_batch_threshold_unreachable_exit_code(self, tmp_path, capsys):
         """A batch whose second column stalls exits 5 and writes no output,
