@@ -12,12 +12,13 @@ T in {1, 5, 10, 100, 1000} on one reference-point matrix (m = 1000, n = 400,
 k = 100, noise 0.01), once per repeat and checkout: one untimed warm-up
 block, then the median over at least 100 samples and 5 blocks per width.
 
-The file holds, per checkout, the median, minimum and maximum over the
-repeats of every end-to-end metric and batch width beside the raw values, the
-per-layer metrics of the traced run, and the machine: core count, BLAS thread
+The file holds, per checkout, its commit, the ``wc -l`` total of its
+``src/sl0/*.py``, the median, minimum and maximum over the repeats of every
+end-to-end metric and batch width beside the raw values, the per-layer
+metrics of the traced run, and the machine: core count, BLAS thread
 setting, and the numpy and OpenBLAS versions read in a child process that
-imports the checkout's ``src``. This script uses the standard library
-only; the children it starts import numpy.
+imports the checkout's ``src``. This script uses the standard library only;
+the children it starts import numpy.
 
 Run from the root of a checkout:
 
@@ -125,6 +126,11 @@ def git_describe(path: Path) -> str | None:
     return proc.stdout.strip() if proc.returncode == 0 else None
 
 
+def src_lines(path: Path) -> int:
+    """Lines of the checkout's ``src/sl0/*.py``, as ``wc -l`` counts them."""
+    return sum(f.read_bytes().count(b"\n") for f in (path / "src" / "sl0").glob("*.py"))
+
+
 def record(checkouts: dict[str, Path], repeats: int, seconds: int, seed: int) -> dict:
     runs: dict = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     widths: dict = {label: [] for label in checkouts}
@@ -143,7 +149,7 @@ def record(checkouts: dict[str, Path], repeats: int, seconds: int, seed: int) ->
               for w in WORKLOADS for label in labels}
     out: dict = {}
     for label, path in checkouts.items():
-        side: dict = {"commit": git_describe(path), "env": run_child(path, "env")}
+        side: dict = {"commit": git_describe(path), "src_sl0_lines": src_lines(path), "env": run_child(path, "env")}
         for workload in WORKLOADS:
             results = runs[label][workload]
             names = results[0]["metrics"]

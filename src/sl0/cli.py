@@ -18,7 +18,6 @@ behind.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -44,18 +43,27 @@ _CONFIG = solver.SolverConfig
 _POINT = expgen.SweepPoint
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("SL0_SEED", "0"))
+def _seed(given: int | None) -> int:
+    """``given``, else $SL0_SEED, else 0."""
+    text = os.environ.get("SL0_SEED", "0")
+    try:
+        return int(text) if given is None else given
+    except ValueError:
+        raise ValueError(f"cannot read SL0_SEED {text!r} as an integer") from None
 
 
 def _atomic_write(path, write_fn) -> None:
-    """Run ``write_fn(tmp_path)`` then rename the result over ``path``."""
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=path.name + ".")
+    """Run ``write_fn(tmp_path)`` then rename the result over ``path``, or
+    over the file it names if it is a symlink. A target that exists and is
+    not a regular file, such as a FIFO or a device, is refused."""
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        raise OSError(f"refusing to replace {path}: not a regular file")
+    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
     os.close(fd)
     try:
         write_fn(tmp)
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -173,7 +181,8 @@ def _init_fields(given: dict, owner) -> dict:
 
 
 def cmd_gen(args) -> int:
-    given = {"seed": _default_seed()} | _given(args, _GEN_FIELDS)
+    given = _given(args, _GEN_FIELDS)
+    given["seed"] = _seed(given.get("seed"))
     model = expgen.SourceModel(**_init_fields(given, expgen.SourceModel))
     spec = expgen.MixingSpec(**_init_fields(given, expgen.MixingSpec))
     values = asdict(model) | asdict(spec)
@@ -212,27 +221,19 @@ def cmd_batch(args) -> int:
     a = linalg.load_matrix(args.matrix)
     x_block = linalg.load_matrix(args.rhs)
     reports = solver.sl0_solve_batch(a, x_block, cfg)
-    estimates = [rep.estimate for rep in reports]
-
-    def _write_report(path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["column", "final_sigma", "final_F", "final_residual", "inner_iters_total", "per_sample_s"])
-            for t, rep in enumerate(reports):
-                last = rep.trace[-1] if rep.trace else None
-                writer.writerow(
-                    [
-                        t,
-                        f"{last.sigma:.17g}" if last else "",
-                        f"{last.f_total:.17g}" if last else "",
-                        f"{rep.residual_norm:.17g}",
-                        sum(e.inner_iterations for e in rep.trace),
-                        f"{rep.wall_time:.17g}",
-                    ]
-                )
-
-    _atomic_write(args.out_estimates, lambda p: linalg.save_matrix(p, np.column_stack(estimates)))
-    _atomic_write(args.out_report, _write_report)
+    rows = [
+        {
+            "column": t,
+            "final_sigma": rep.trace[-1].sigma if rep.trace else "",
+            "final_F": rep.trace[-1].f_total if rep.trace else "",
+            "final_residual": rep.residual_norm,
+            "inner_iters_total": sum(e.inner_iterations for e in rep.trace),
+            "per_sample_s": rep.wall_time,
+        }
+        for t, rep in enumerate(reports)
+    ]
+    _atomic_write(args.out_estimates, lambda p: linalg.save_matrix(p, np.column_stack([r.estimate for r in reports])))
+    _atomic_write(args.out_report, lambda p: solver._write_rows(rows, p))
     print(f"solved {len(reports)} columns; per-sample wall time {reports[0].wall_time:.17g}s")
     return EXIT_OK
 
@@ -260,7 +261,8 @@ def cmd_sweep(args) -> int:
         **_solver_fields(args, grid),
     )
     result = expgen.run_sweep(
-        grid, runs=args.runs, base_seed=args.seed, base=base, jobs=args.jobs, collect_trials=args.per_trial is not None
+        grid, runs=args.runs, base_seed=_seed(args.seed), base=base, jobs=args.jobs,
+        collect_trials=args.per_trial is not None,
     )
     rows, trial_rows = result if args.per_trial is not None else (result, None)
     for row in rows + (trial_rows or []):
@@ -315,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="Monte Carlo sweep over a parameter grid")
     p_sweep.add_argument("--runs", type=int, default=20, help="trials per grid point (default: 20)")
-    p_sweep.add_argument("--seed", type=int, default=_default_seed(), help="base seed (default: $SL0_SEED or 0)")
+    p_sweep.add_argument("--seed", type=int, default=None, help="base seed (default: $SL0_SEED or 0)")
     _add_flags(p_sweep, ("m", "n", "k"), _POINT)
     p_sweep.add_argument(
         "--exact-activation", action="store_true", help="activate exactly k sources instead of probability k/m"

@@ -16,7 +16,6 @@ index see identical problem data.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -27,7 +26,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, Sl0Error, ZeroReference
 from .linalg import _factor_of
-from .solver import GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, irls_solve, sl0_solve
+from .solver import GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _write_rows, irls_solve
 
 # Cap applied when the estimate is (numerically) exact, so averages of
 # decibel values stay finite in noiseless exact-recovery regimes.
@@ -223,30 +222,20 @@ class SweepPoint(SolverConfig):
 
 
 def run_trial(point: SweepPoint, run_index: int, base_seed: int) -> TrialResult:
-    """Generate one problem instance and solve it, timing the solve only."""
-    a, s_true, x = generate_problem(point.source_model(), point.mixing_spec(), base_seed + run_index)
-    return _solve_trial(point, run_index, a, s_true, x)
+    """The trial of a one-point, one-run :func:`run_sweep`, whose time
+    excludes the factorization; raises the Sl0Error it counts as a failure."""
+    (outcome,) = _sweep_run_index(_grid_points({}, point), run_index, base_seed)
+    if isinstance(outcome, Sl0Error):
+        raise outcome
+    return outcome
 
 
-def _solve_trial(point: SweepPoint, run_index: int, a, s_true, x) -> TrialResult:
-    """Solve one drawn problem on its matrix or that matrix's factor, and
-    score the estimate; the time covers the solve call only."""
-    started = time.perf_counter()
-    if point.solver == "sl0":
-        estimate = sl0_solve(a, x, point).estimate
-    else:
-        _check_solver(point.solver)
-        estimate = irls_solve(a, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer)
-    return _score(s_true, estimate, time.perf_counter() - started, run_index)
-
-
-def _score(s_true, estimate, wall: float, run_index: int) -> TrialResult:
-    return TrialResult(snr_db(s_true, estimate), mse(s_true, estimate), wall, run_index)
-
-
-def _check_solver(name: str) -> None:
-    if name not in SOLVERS:
-        raise ValueError(f"unknown solver {name!r}; choose sl0 or irls")
+def _score(s_true, estimate, wall: float, run_index: int) -> TrialResult | Sl0Error:
+    """The trial's result, or the Sl0Error that scoring it raised."""
+    try:
+        return TrialResult(snr_db(s_true, estimate), mse(s_true, estimate), wall, run_index)
+    except Sl0Error as exc:
+        return exc
 
 
 def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
@@ -270,7 +259,8 @@ def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
         point = replace(base, **overrides)
         point.mixing_spec()  # first, so that source_model() divides by an m >= 1
         point.source_model()
-        _check_solver(point.solver)
+        if point.solver not in SOLVERS:
+            raise ValueError(f"unknown solver {point.solver!r}; choose sl0 or irls")
         points.append((overrides, point))
     return points
 
@@ -358,19 +348,17 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     The first grid point of each (n, m) draws the whole problem and factors
     its matrix, and the others draw only their sources and noise on that
     matrix, so every problem is bit-identical to :func:`generate_problem` at
-    the trial seed. The sl0 points of one (n, m) whose solver settings
-    differ in the width fields alone are then annealed as one block, each
-    column on its own point's widths, and each is timed at its share of the
-    block's wall time; the IRLS points are solved one at a time. The
-    factors live only until this returns, except the last one built, which
-    stays in the package's factor slot until another matrix is factored.
+    the trial seed. Each IRLS point is solved as it is drawn. The sl0 points
+    of one (n, m) whose solver settings differ in the width fields alone are
+    then annealed as one block, each column on its own point's widths, and
+    each is timed at its share of the block's wall time. The factors live
+    only until this returns, except the last one built, which stays in the
+    package's factor slot until another matrix is factored.
     """
     seed = base_seed + run_index
     shared: dict[tuple[int, int], tuple] = {}
-    problems = []
     outcomes: list = [None] * len(points)
-    blocks: dict[tuple, list[int]] = {}
-    singles = []
+    blocks: dict[tuple, tuple] = {}  # each block's factor and (index, s_true, x) of its members
     for i, (_, point) in enumerate(points):
         model = point.source_model()
         key = (point.n, point.m)
@@ -384,54 +372,33 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             except Sl0Error as exc:
                 factor = exc
             shared[key] = (a, factor)
-        problems.append((factor, s_true, x))
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
         elif point.solver == "sl0":
             engine = tuple(getattr(point, f.name) for f in fields(SolverConfig) if f.name not in WIDTH_FIELDS)
-            blocks.setdefault(key + engine, []).append(i)
+            blocks.setdefault(key + engine, (factor, []))[1].append((i, s_true, x))
         else:
-            singles.append(i)
-
-    for members in blocks.values():
-        factor = problems[members[0]][0]
-        x_block = np.column_stack([problems[i][2] for i in members])
-        started = time.perf_counter()
-        reports = _anneal_block(factor, x_block, [points[i][1] for i in members])
-        per_sample = (time.perf_counter() - started) / len(members)
-        for i, report in zip(members, reports):
-            if isinstance(report, Sl0Error):
-                outcomes[i] = report
+            started = time.perf_counter()
+            try:
+                estimate = irls_solve(factor, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer)
+            except Sl0Error as exc:
+                outcomes[i] = exc
             else:
-                outcomes[i] = _outcome(_score, problems[i][1], report.estimate, per_sample, run_index)
-    for i in singles:
-        outcomes[i] = _outcome(_solve_trial, points[i][1], run_index, *problems[i])
+                outcomes[i] = _score(s_true, estimate, time.perf_counter() - started, run_index)
+
+    for factor, members in blocks.values():
+        x_block = np.column_stack([x for _, _, x in members])
+        started = time.perf_counter()
+        reports = _anneal_block(factor, x_block, [points[i][1] for i, _, _ in members])
+        per_sample = (time.perf_counter() - started) / len(members)
+        for (i, s_true, _), report in zip(members, reports):
+            failed = isinstance(report, Sl0Error)
+            outcomes[i] = report if failed else _score(s_true, report.estimate, per_sample, run_index)
     return outcomes
-
-
-def _outcome(fn, *args):
-    """``fn(*args)``, or the Sl0Error it raised."""
-    try:
-        return fn(*args)
-    except Sl0Error as exc:
-        return exc
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def write_sweep_csv(rows: list[dict], path) -> None:
     """Rows as CSV under the keys of the first row: a sweep's summary rows
     (the varied parameters, then the aggregate columns) or its long-format
     per-trial rows, one per (grid point, run)."""
-    if not rows:
-        raise ValueError("no rows to write")
-    header = list(rows[0])
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_cell(row[k]) for k in header])
+    _write_rows(rows, path)

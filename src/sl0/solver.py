@@ -421,23 +421,23 @@ def write_report_csv(report: SolveReport, path) -> None:
     summary row ``total`` with the final F, the final residual ‖A·ŝ − x‖ and
     the total inner-iteration count. A width row's residual is that level's
     pre-projection residual (see :class:`LevelTrace`)."""
+    trace = report.trace
+    rows = [dict(sigma=e.sigma, F=e.f_total, residual=e.residual_norm, inner_iters=e.inner_iterations) for e in trace]
+    final_f, inner = (trace[-1].f_total if trace else ""), sum(e.inner_iterations for e in trace)
+    total = dict(sigma="total", F=final_f, residual=report.residual_norm, inner_iters=inner)
+    _write_rows(rows + [total], path)
+
+
+def _write_rows(rows: list[dict], path) -> None:
+    """Rows as CSV under the keys of the first row, floats to 17 significant
+    digits, so that each reads back as the value written, other cells as
+    ``str`` gives them."""
+    if not rows:
+        raise ValueError("no rows to write")
+    header = list(rows[0])
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["sigma", "F", "residual", "inner_iters"])
-        for entry in report.trace:
-            writer.writerow(
-                [
-                    f"{entry.sigma:.17g}",
-                    f"{entry.f_total:.17g}",
-                    f"{entry.residual_norm:.17g}",
-                    entry.inner_iterations,
-                ]
-            )
-        writer.writerow(
-            [
-                "total",
-                f"{report.trace[-1].f_total:.17g}" if report.trace else "",
-                f"{report.residual_norm:.17g}",
-                sum(e.inner_iterations for e in report.trace),
-            ]
-        )
+        writer.writerow(header)
+        for row in rows:
+            cells = [row[k] for k in header]
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else str(v) for v in cells])

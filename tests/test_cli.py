@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -143,6 +145,23 @@ class TestSolve:
         with pytest.raises(SystemExit) as exc:
             run_cli("solve", "--matrix", "a", "--rhs", "b", "--frobnicate", "1")
         assert exc.value.code == 2
+
+    def test_outputs_written_through_symlinks(self, tmp_path, capsys):
+        """An output path that is a symlink keeps its link, and the file it
+        names receives the output."""
+        assert run_cli(*gen_args(tmp_path)) == 0
+        (tmp_path / "real").mkdir()
+        for name in ("s_hat.vec", "report.csv"):
+            (tmp_path / "real" / name).write_text("old\n")
+            (tmp_path / name).symlink_to(tmp_path / "real" / name)
+        assert run_cli(
+            "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec",
+            "--out-estimate", tmp_path / "s_hat.vec", "--out-report", tmp_path / "report.csv",
+        ) == 0
+        assert (tmp_path / "s_hat.vec").is_symlink() and (tmp_path / "report.csv").is_symlink()
+        assert load_vector(tmp_path / "real" / "s_hat.vec").shape == (6,)
+        assert (tmp_path / "real" / "report.csv").read_text().startswith("sigma,F,residual,inner_iters\n")
+        assert sorted(p.name for p in (tmp_path / "real").iterdir()) == ["report.csv", "s_hat.vec"]
 
 
 class TestRoundTrip:
@@ -499,6 +518,8 @@ EXIT_CASES = {
     "canonical family": (0, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "truncated_hyperbolic"]),
     "vary sigma1 auto": (0, [*SWEEP, "--vary", "sigma1=auto,1.5"]),
     "bound": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"]),
+    "bound ignores SL0_SEED": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"], {"SL0_SEED": "abc"}),
+    "sweep seed beside SL0_SEED": (0, [*SWEEP, "--seed", "3"], {"SL0_SEED": "abc"}),
     # 2: usage, out-of-range or non-finite settings, unreadable flag or --vary values.
     "unknown flag": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--frobnicate", "1"]),
     "unknown family": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "bogus"]),
@@ -525,6 +546,10 @@ EXIT_CASES = {
     "batch bad flag beside missing file": (
         2, ["batch", "--matrix", "{missing}", "--rhs", "{x}", "--sigma1", "bogus"],
     ),
+    "malformed SL0_SEED": (2, SWEEP, {"SL0_SEED": "abc"}),
+    "malformed SL0_SEED for gen": (
+        2, ["gen", "--m", "6", "--n", "3", "--exact-k", "1", "--out-dir", "g"], {"SL0_SEED": "1.5"},
+    ),
     "too many geometric widths": (
         2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],
     ),
@@ -534,6 +559,7 @@ EXIT_CASES = {
     "binary matrix": (3, ["solve", "--matrix", "{binary}", "--rhs", "{x}"]),
     "matrix is a directory": (3, ["solve", "--matrix", "{dir}", "--rhs", "{x}"]),
     "output is a directory": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--out-estimate", "{dir}"]),
+    "output is a FIFO": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--out-estimate", "{fifo}"]),
     "wrong-length rhs": (3, ["solve", "--matrix", "{A}", "--rhs", "{s}"]),
     # 4-6: rank deficiency, threshold stall, combinatorial guard.
     "rank deficient": (4, ["solve", "--matrix", "{rank1}", "--rhs", "{x2}"]),
@@ -549,7 +575,8 @@ EXIT_CASES = {
 def test_exit_codes(tmp_path, capsys, monkeypatch, case):
     """One input per documented exit code: 0 success, 2 usage, 3 malformed
     input, 4 rank-deficient matrix, 5 threshold mode gave up, 6 combinatorial
-    guard exceeded. Every failure prints an error and writes no output."""
+    guard exceeded. Every failure prints an error and writes no output. A
+    row may name environment variables to set."""
     monkeypatch.chdir(tmp_path)
     assert run_cli(*gen_args(tmp_path)) == 0
     rng = np.random.default_rng(3)
@@ -564,8 +591,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
     (tmp_path / "short.mat").write_text("2 2\n1 2\n")
     (tmp_path / "binary.mat").write_bytes(b"3 6\n\xff\xfe\x00\x81")
     (tmp_path / "dir").mkdir()
+    os.mkfifo(tmp_path / "fifo")
     names = {path.stem: path.name for path in tmp_path.iterdir()} | {"missing": "nope.mat"}
-    code, argv = EXIT_CASES[case]
+    code, argv, *env = EXIT_CASES[case]
+    for name, value in dict(*env).items():
+        monkeypatch.setenv(name, value)
     args = [arg.format(**names) for arg in argv]
     before = sorted(p.name for p in tmp_path.iterdir())
     try:
@@ -577,6 +607,7 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
         assert "error" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list((tmp_path / "dir").iterdir()) == []
+        assert stat.S_ISFIFO((tmp_path / "fifo").stat().st_mode)
 
 
 class TestBound:

@@ -224,14 +224,34 @@ def assert_rows_match(rows: list[dict], expected: list[dict]) -> None:
 
 
 class TestSweeps:
-    def test_single_point_single_run_matches_trial(self):
-        base = SweepPoint(m=40, n=16, k=4, noise_sigma=0.01)
-        rows = run_sweep({}, runs=1, base_seed=5, base=base)
+    @pytest.mark.parametrize(
+        "base",
+        [
+            SweepPoint(m=40, n=16, k=4, noise_sigma=0.01),
+            SweepPoint(m=40, n=16, k=4, noise_sigma=0.01, solver="irls"),
+            SweepPoint(
+                m=6, n=3, k=1, exact_activation=True, noise_sigma=0.0, schedule=None, c=0.8, mode="threshold",
+                max_inner=200,
+            ),
+        ],
+        ids=["sl0", "irls", "threshold stall"],
+    )
+    def test_single_point_single_run_matches_trial(self, base):
+        """run_trial returns the one-point, one-run sweep's SNR and MSE bit
+        for bit, or raises the error that sweep counts as its failure."""
+        rows, (trial_row,) = run_sweep({}, runs=1, base_seed=5, base=base, collect_trials=True)
         assert len(rows) == 1
+        assert rows[0]["runs"] == 1
+        assert bool(trial_row["error"]) == (base.mode == "threshold")
+        if trial_row["error"]:
+            assert rows[0]["failures"] == 1
+            with pytest.raises(Sl0Error) as failure:
+                run_trial(base, 0, 5)
+            assert str(failure.value) == trial_row["error"]
+            return
         trial = run_trial(base, 0, 5)
         assert rows[0]["snr_mean_db"] == trial.snr_db
         assert rows[0]["mse_mean"] == trial.mse
-        assert rows[0]["runs"] == 1
         assert rows[0]["failures"] == 0
 
     def test_bit_for_bit_reproducible(self):
@@ -281,6 +301,9 @@ class TestSweeps:
         monkeypatch.setattr(expgen, "generate_problem", drawn)
         with pytest.raises(ValueError, match=message):
             run_sweep(grid, runs=1, base_seed=0, base=base)
+        if not grid:
+            with pytest.raises(ValueError, match=message):
+                run_trial(base, 0, 0)
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
