@@ -7,9 +7,10 @@ reader ``--vary`` uses for it: ``--mu abc`` fails as ``cannot read mu 'abc'``.
 
 Exit codes: 0 success; 2 usage, including an out-of-range or non-finite
 solver setting, a geometric sequence over ``solver.MAX_LEVELS`` widths,
-and a solver flag or ``--vary`` value that cannot be read; 3 malformed or
-inconsistent input data, a binary input file, or a path that cannot be
-read or written; 4 rank-deficient system; 5 threshold mode gave up;
+a solver flag or ``--vary`` value that cannot be read, and a malformed
+``SL0_SEED``; 3 malformed or inconsistent input data, a binary input file,
+a path that cannot be read or written, or an output path that exists and
+is not a regular file; 4 rank-deficient system; 5 threshold mode gave up;
 6 combinatorial guard exceeded. Outputs are written to a temporary file
 and renamed into place, so a failing command never leaves partial files
 behind.
