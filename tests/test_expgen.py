@@ -293,7 +293,8 @@ class TestSweeps:
     )
     def test_invalid_grid_point_rejected_before_drawing(self, monkeypatch, grid, base, message):
         """A grid point whose problem or solver is invalid fails the sweep
-        with a ValueError before any problem is drawn, m = 0 included."""
+        with a ValueError before any problem is drawn, m = 0 included, and
+        so does run_trial on an invalid point."""
 
         def drawn(*args):
             raise AssertionError("a problem was drawn")
