@@ -13,7 +13,6 @@ factorization or triangular solve per call.
 from __future__ import annotations
 
 import io
-import math
 from itertools import combinations
 from pathlib import Path
 
@@ -28,9 +27,8 @@ CONDITION_CUTOFF = 1e12
 # eps·cond(A·Aᵀ); above this condition number it gets one refinement step.
 REFINE_CONDITION = 1e4
 
-# Subset enumeration guards for check_urp / compute_M.
+# Subset enumeration guard for check_urp / compute_M.
 MAX_COLUMNS_FOR_ENUMERATION = 20
-MAX_SUBSET_COUNT = 10**6
 
 
 def as_matrix(a) -> np.ndarray:
@@ -196,24 +194,19 @@ def min_norm_solution(a, x) -> np.ndarray:
     return _factor_of(a).min_norm(as_vector(x))
 
 
-def _enumeration_guard(n: int, m: int) -> None:
-    if m > MAX_COLUMNS_FOR_ENUMERATION:
-        raise TooLarge(f"subset enumeration limited to m <= {MAX_COLUMNS_FOR_ENUMERATION} columns, got m={m}")
-    if math.comb(m, n) > MAX_SUBSET_COUNT:
-        raise TooLarge(f"C({m},{n}) = {math.comb(m, n)} exceeds the {MAX_SUBSET_COUNT} enumeration cap")
-
-
 def check_urp(a) -> bool:
     """True iff every n×n column submatrix of A is invertible.
 
     Determinants are taken after normalizing columns to unit length so the
-    1e-10 magnitude threshold is scale-free.
+    1e-10 magnitude threshold is scale-free. Raises ``TooLarge`` for more
+    than ``MAX_COLUMNS_FOR_ENUMERATION`` columns.
     """
     a = as_matrix(a)
     n, m = a.shape
     if n > m:
         raise DimensionMismatch(f"need n <= m, got {a.shape}")
-    _enumeration_guard(n, m)
+    if m > MAX_COLUMNS_FOR_ENUMERATION:
+        raise TooLarge(f"subset enumeration limited to m <= {MAX_COLUMNS_FOR_ENUMERATION} columns, got m={m}")
     norms = np.linalg.norm(a, axis=0)
     if np.any(norms == 0.0):
         return False
@@ -226,22 +219,19 @@ def check_urp(a) -> bool:
 
 def compute_M(a) -> float:
     """Largest Frobenius norm of a left inverse over all column subsets of
-    size <= n.
+    size <= n, each left inverse being the Moore-Penrose pseudoinverse.
 
-    The left inverse of each (tall, full-rank) submatrix is fixed to its
-    Moore-Penrose pseudoinverse. Requires the unique-representation property;
-    guarded by the same enumeration caps as :func:`check_urp`.
+    Requires the unique-representation property and at most
+    ``MAX_COLUMNS_FOR_ENUMERATION`` columns, as :func:`check_urp` does.
+    Only the n-column subsets are enumerated: by Cauchy interlacing,
+    ‖A_S′⁺‖_F² >= ‖A_S⁺‖_F² + 1/σ₁(A_S′)² for full-column-rank S ⊂ S′,
+    so under the URP the maximum lies at size n.
     """
     a = as_matrix(a)
     n, m = a.shape
     if not check_urp(a):
         raise NotURP("matrix has a singular square column submatrix")
-    worst = 0.0
-    for size in range(1, n + 1):
-        for cols in combinations(range(m), size):
-            sub = a[:, cols]
-            worst = max(worst, float(np.linalg.norm(np.linalg.pinv(sub))))
-    return worst
+    return max(float(np.linalg.norm(np.linalg.pinv(a[:, cols]))) for cols in combinations(range(m), n))
 
 
 # Text format: first line "rows cols", then whitespace-delimited rows. Values

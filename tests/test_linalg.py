@@ -447,9 +447,14 @@ class TestComputeM:
     def test_inverse_scaling(self):
         assert compute_M(2.0 * np.eye(2)) == pytest.approx(compute_M(np.eye(2)) / 2.0)
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_matches_enumeration_oracle(self, seed):
-        a = unit_column_matrix(np.random.default_rng(seed), 3, 6)
+    @pytest.mark.parametrize(
+        "n, m, seed",
+        [(3, 6, seed) for seed in range(5)] + [(4, 8, 0), (4, 8, 1), (5, 9, 0), (5, 9, 1)],
+        ids=[str(seed) for seed in range(5)] + ["4x8-0", "4x8-1", "5x9-0", "5x9-1"],
+    )
+    def test_matches_enumeration_oracle(self, n, m, seed):
+        """The maximum over the n-column subsets is the all-sizes oracle's."""
+        a = unit_column_matrix(np.random.default_rng(seed), n, m)
         assert compute_M(a) == pytest.approx(max_left_inverse_norm(a), rel=1e-9)
 
     def test_not_urp(self):
