@@ -5,15 +5,16 @@ Each setting flag is a field of ``SolverConfig``, ``SweepPoint``,
 ``SourceModel`` or ``MixingSpec``, built from that field and read by the
 reader ``--vary`` uses for it: ``--mu abc`` fails as ``cannot read mu 'abc'``.
 
-Exit codes: 0 success; 2 usage, including an out-of-range or non-finite
-solver setting, a geometric sequence over ``solver.MAX_LEVELS`` widths,
-a solver flag or ``--vary`` value that cannot be read, and a malformed
-``SL0_SEED``; 3 malformed or inconsistent input data, a binary input file,
-a path that cannot be read or written, or an output path that exists and
-is not a regular file; 4 rank-deficient system; 5 threshold mode gave up;
-6 combinatorial guard exceeded. Outputs are written to a temporary file
-and renamed into place, so a failing command never leaves partial files
-behind.
+Exit codes: 0 success; 2 usage, including an out-of-range, non-finite or
+non-integer setting, a geometric sequence over ``solver.MAX_LEVELS``
+widths, a solver flag or ``--vary`` value that cannot be read, and a
+malformed ``SL0_SEED``; 3 malformed or inconsistent input data, a binary
+input file, a path that cannot be read or written, or an output path that
+exists and is not a regular file; 4 rank-deficient system; 5 threshold mode
+gave up; 6 combinatorial guard exceeded, a ``bound`` matrix of more than 20
+columns. A command refuses every output target that is not a regular file,
+writes all its outputs to temporary files, and only then renames them into
+place, so a failure before the renames leaves no output behind.
 """
 
 from __future__ import annotations
@@ -53,21 +54,29 @@ def _seed(given: int | None) -> int:
         raise ValueError(f"cannot read SL0_SEED {text!r} as an integer") from None
 
 
-def _atomic_write(path, write_fn) -> None:
-    """Run ``write_fn(tmp_path)`` then rename the result over ``path``, or
-    over the file it names if it is a symlink. A target that exists and is
-    not a regular file, such as a FIFO or a device, is refused."""
-    target = Path(os.path.realpath(path))
-    if target.exists() and not target.is_file():
-        raise OSError(f"refusing to replace {path}: not a regular file")
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
-    os.close(fd)
+def _atomic_write(*outputs) -> None:
+    """Write a command's outputs, each a ``(path, write_fn)`` pair, all or
+    nothing: refuse every target that exists and is not a regular file, such
+    as a FIFO or a device, before writing any; run each ``write_fn(tmp_path)``;
+    then rename every temporary file over its path, or over the file it
+    names if it is a symlink. A failure before the renames leaves no output."""
+    targets = [Path(os.path.realpath(path)) for path, _ in outputs]
+    for (path, _), target in zip(outputs, targets):
+        if target.exists() and not target.is_file():
+            raise OSError(f"refusing to replace {path}: not a regular file")
+    temps = []
     try:
-        write_fn(tmp)
-        os.replace(tmp, target)
+        for (_, write_fn), target in zip(outputs, targets):
+            fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=target.name + ".")
+            os.close(fd)
+            temps.append(tmp)
+            write_fn(tmp)
+        for tmp, target in zip(temps, targets):
+            os.replace(tmp, target)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
 
 
@@ -191,10 +200,12 @@ def cmd_gen(args) -> int:
     a, s, x = expgen.generate_problem(model, spec, spec.seed)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _atomic_write(out / "A.mat", lambda p: linalg.save_matrix(p, a))
-    _atomic_write(out / "s.vec", lambda p: linalg.save_vector(p, s))
-    _atomic_write(out / "x.vec", lambda p: linalg.save_vector(p, x))
-    _atomic_write(out / "gen.json", lambda p: Path(p).write_text(json.dumps(params, indent=2) + "\n"))
+    _atomic_write(
+        (out / "A.mat", lambda p: linalg.save_matrix(p, a)),
+        (out / "s.vec", lambda p: linalg.save_vector(p, s)),
+        (out / "x.vec", lambda p: linalg.save_vector(p, x)),
+        (out / "gen.json", lambda p: Path(p).write_text(json.dumps(params, indent=2) + "\n")),
+    )
     print(f"wrote A.mat ({spec.n}x{spec.m}), s.vec, x.vec, gen.json under {out}")
     return EXIT_OK
 
@@ -204,8 +215,10 @@ def cmd_solve(args) -> int:
     a = linalg.load_matrix(args.matrix)
     x = linalg.load_vector(args.rhs)
     report = solver.sl0_solve(a, x, cfg)
-    _atomic_write(args.out_estimate, lambda p: linalg.save_vector(p, report.estimate))
-    _atomic_write(args.out_report, lambda p: solver.write_report_csv(report, p))
+    _atomic_write(
+        (args.out_estimate, lambda p: linalg.save_vector(p, report.estimate)),
+        (args.out_report, lambda p: solver.write_report_csv(report, p)),
+    )
     final = report.trace[-1] if report.trace else None
     if final is not None:
         print(
@@ -233,8 +246,10 @@ def cmd_batch(args) -> int:
         }
         for t, rep in enumerate(reports)
     ]
-    _atomic_write(args.out_estimates, lambda p: linalg.save_matrix(p, np.column_stack([r.estimate for r in reports])))
-    _atomic_write(args.out_report, lambda p: solver._write_rows(rows, p))
+    _atomic_write(
+        (args.out_estimates, lambda p: linalg.save_matrix(p, np.column_stack([r.estimate for r in reports]))),
+        (args.out_report, lambda p: solver._write_rows(rows, p)),
+    )
     print(f"solved {len(reports)} columns; per-sample wall time {reports[0].wall_time:.17g}s")
     return EXIT_OK
 
@@ -269,9 +284,10 @@ def cmd_sweep(args) -> int:
     for row in rows + (trial_rows or []):
         if "sigma1" in row and row["sigma1"] is None:
             row["sigma1"] = "auto"  # as --sigma1 reads it
-    _atomic_write(args.out, lambda p: expgen.write_sweep_csv(rows, p))
+    outputs = [(args.out, lambda p: expgen.write_sweep_csv(rows, p))]
     if args.per_trial is not None:
-        _atomic_write(args.per_trial, lambda p: expgen.write_sweep_csv(trial_rows, p))
+        outputs.append((args.per_trial, lambda p: expgen.write_sweep_csv(trial_rows, p)))
+    _atomic_write(*outputs)
     for row in rows:
         print(" ".join(f"{k}={v}" for k, v in row.items()))
     return EXIT_OK

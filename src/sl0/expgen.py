@@ -24,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionMismatch, Sl0Error, ZeroReference
+from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
 from .linalg import _factor_of
 from .solver import GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _write_rows, irls_solve
 
@@ -56,8 +56,8 @@ class SourceModel:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
         if self.exact_k is not None and not 0 <= self.exact_k <= self.m:
             raise ValueError(f"exact_k must lie in [0, m], got {self.exact_k}")
-        if self.sigma_on <= 0.0:
-            raise ValueError("sigma_on must be positive")
+        if not 0.0 < self.sigma_on < math.inf:
+            raise ValueError(f"sigma_on must be positive and finite, got {self.sigma_on}")
         if not 0.0 <= self.sigma_off <= self.sigma_on:
             raise ValueError("need 0 <= sigma_off <= sigma_on")
 
@@ -74,8 +74,8 @@ class MixingSpec:
     def __post_init__(self) -> None:
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be non-negative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
 
 
 @dataclass(frozen=True)
@@ -137,12 +137,20 @@ def _draw_measurements(a: np.ndarray, model: SourceModel, noise_sigma: float, se
     return s, mix(a, s, noise_sigma, seed_n)
 
 
-def mse(s_true, s_est) -> float:
-    """Mean squared componentwise error."""
+def _metric_pair(s_true, s_est) -> tuple[np.ndarray, np.ndarray]:
+    """Both vectors as float arrays of one shape, every entry finite."""
     s_true = np.asarray(s_true, dtype=float)
     s_est = np.asarray(s_est, dtype=float)
     if s_true.shape != s_est.shape:
         raise DimensionMismatch(f"shape mismatch {s_true.shape} vs {s_est.shape}")
+    if not (np.all(np.isfinite(s_true)) and np.all(np.isfinite(s_est))):
+        raise ParseError("cannot score a vector containing NaN or Inf entries")
+    return s_true, s_est
+
+
+def mse(s_true, s_est) -> float:
+    """Mean squared componentwise error."""
+    s_true, s_est = _metric_pair(s_true, s_est)
     return float(np.mean((s_true - s_est) ** 2))
 
 
@@ -154,10 +162,7 @@ def snr_db(s_true, s_est) -> float:
     formula's bit for bit wherever no square under- or overflows, and it
     stays accurate for vectors so small that their squares would.
     """
-    s_true = np.asarray(s_true, dtype=float)
-    s_est = np.asarray(s_est, dtype=float)
-    if s_true.shape != s_est.shape:
-        raise DimensionMismatch(f"shape mismatch {s_true.shape} vs {s_est.shape}")
+    s_true, s_est = _metric_pair(s_true, s_est)
     ref, ref_exp = _scaled_norm(s_true)
     if ref == 0.0:
         raise ZeroReference("SNR is undefined for an all-zero reference")

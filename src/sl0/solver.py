@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
@@ -130,12 +131,11 @@ class SolverConfig:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.target_f is not None and not math.isfinite(self.target_f):
             raise ValueError(f"target_f must be finite, got {self.target_f}")
-        if self.L < 1:
-            raise ValueError("L must be at least 1")
+        for name, value in (("L", self.L), ("max_inner", self.max_inner)):
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
         if self.mode not in ("fixed", "threshold"):
             raise ValueError(f"mode must be 'fixed' or 'threshold', got {self.mode!r}")
-        if self.max_inner < 1:
-            raise ValueError("max_inner must be at least 1")
 
     def resolve_schedule(self, s0: np.ndarray) -> tuple[float, ...] | None:
         """Widths to run for an initial iterate; None when the start width is

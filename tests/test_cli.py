@@ -146,6 +146,22 @@ class TestSolve:
             run_cli("solve", "--matrix", "a", "--rhs", "b", "--frobnicate", "1")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("report, message", [("rep.csv", "not a regular file"), ("no/rep.csv", "No such file")])
+    def test_failed_second_output_leaves_no_first(self, tmp_path, capsys, report, message):
+        """A second output that is refused (a directory) or cannot be
+        written (its directory is missing) fails the command with exit 3
+        and leaves no output behind, the estimate written first included."""
+        assert run_cli(*gen_args(tmp_path)) == 0
+        (tmp_path / "rep.csv").mkdir()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run_cli(
+            "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "x.vec",
+            "--out-estimate", tmp_path / "est.vec", "--out-report", tmp_path / report,
+        ) == 3
+        assert message in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert list((tmp_path / "rep.csv").iterdir()) == []
+
     def test_outputs_written_through_symlinks(self, tmp_path, capsys):
         """An output path that is a symlink keeps its link, and the file it
         names receives the output."""
@@ -549,6 +565,12 @@ EXIT_CASES = {
     "malformed SL0_SEED": (2, SWEEP, {"SL0_SEED": "abc"}),
     "malformed SL0_SEED for gen": (
         2, ["gen", "--m", "6", "--n", "3", "--exact-k", "1", "--out-dir", "g"], {"SL0_SEED": "1.5"},
+    ),
+    "gen noise_sigma nan": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--noise-sigma", "nan"]),
+    "gen noise_sigma inf": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--noise-sigma", "inf"]),
+    "gen sigma_on inf": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--sigma-on", "inf"]),
+    "sweep noise_sigma inf": (
+        2, ["sweep", "--m", "30", "--n", "12", "--k", "3", "--runs", "1", "--noise-sigma", "inf"],
     ),
     "too many geometric widths": (
         2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],

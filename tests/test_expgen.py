@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sl0 import expgen
-from sl0.errors import DimensionMismatch, Sl0Error, ZeroReference
+from sl0.errors import DimensionMismatch, ParseError, RankDeficient, Sl0Error, ZeroReference
 from sl0.expgen import (
     MixingSpec,
     SNR_CAP_DB,
@@ -41,6 +41,9 @@ class TestSourceModel:
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
             SourceModel(m=10, p=0.1, sigma_on=0.5, sigma_off=0.6)
+        for sigma_on in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="sigma_on"):
+                SourceModel(m=10, p=0.1, sigma_on=sigma_on)
 
     def test_always_active_matches_on_variance(self):
         model = SourceModel(m=100_000, p=1.0, sigma_on=2.0)
@@ -82,6 +85,11 @@ class TestMixing:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             MixingSpec(n=5, m=4)
+
+    @pytest.mark.parametrize("noise_sigma", [math.nan, math.inf, -0.1])
+    def test_rejects_bad_noise(self, noise_sigma):
+        with pytest.raises(ValueError, match="noise_sigma"):
+            MixingSpec(n=3, m=6, noise_sigma=noise_sigma)
 
 
 class TestMix:
@@ -131,6 +139,19 @@ class TestMetrics:
     def test_zero_reference_rejected(self):
         with pytest.raises(ZeroReference):
             snr_db(np.zeros(3), np.ones(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("all_entries", [False, True])
+    def test_non_finite_vectors_rejected(self, bad, all_entries):
+        """A NaN or infinite entry, in the estimate or the reference, is a
+        scoring error rather than the 300 dB cap, a math domain error or a
+        NaN MSE."""
+        s = np.array([1.0, 2.0, 3.0])
+        e = np.full(3, bad) if all_entries else np.array([1.0, bad, 3.0])
+        for metric in (snr_db, mse):
+            for pair in ((s, e), (e, s)):
+                with pytest.raises(ParseError, match="NaN or Inf"):
+                    metric(*pair)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -324,6 +345,43 @@ class TestSweeps:
         failed = [t for t in trials if t["error"]]
         assert len(failed) == rows[0]["failures"]
         assert all(t["snr_db"] == "" for t in failed)
+
+    def test_rank_deficient_matrix_fails_every_point_of_its_shape(self, monkeypatch):
+        """When one (n, m)'s matrix cannot be factored, every point of that
+        shape reports the error at every run, and the other shape's rows are
+        those of an unpatched sweep."""
+        grid = {"n": [12, 16], "solver": ["sl0", "irls"]}
+        base = SweepPoint(m=30, k=3)
+        clean = run_sweep(grid, runs=2, base_seed=4, base=base)
+        drawn = expgen.generate_mixing
+
+        def deficient_at_12(spec, seed=None):
+            a = drawn(spec, seed)
+            if spec.n == 12:
+                a[1] = a[0]
+            return a
+
+        monkeypatch.setattr(expgen, "generate_mixing", deficient_at_12)
+        rows = run_sweep(grid, runs=2, base_seed=4, base=base)
+        for row, want in zip(rows, clean, strict=True):
+            if row["n"] == 12:
+                assert row["failures"] == row["runs"] == 2
+                assert all(math.isnan(row[key]) for key in STAT_KEYS + ("time_mean_s",))
+            else:
+                assert {k: v for k, v in row.items() if k != "time_mean_s"} == {
+                    k: v for k, v in want.items() if k != "time_mean_s"
+                }
+        with pytest.raises(RankDeficient):
+            run_trial(replace(base, n=12), 0, 4)
+
+    def test_non_finite_estimate_is_a_failure(self, monkeypatch):
+        """An estimate holding a NaN is a failed trial, not a capped SNR."""
+        monkeypatch.setattr(expgen, "irls_solve", lambda factor, x, *args: np.full(30, math.nan))
+        base = SweepPoint(m=30, n=12, k=3, solver="irls")
+        (row,) = run_sweep({}, runs=2, base_seed=4, base=base)
+        assert row["failures"] == 2 and math.isnan(row["snr_mean_db"])
+        with pytest.raises(ParseError):
+            run_trial(base, 0, 4)
 
     def test_threshold_failure_stays_with_its_point_in_a_block(self, monkeypatch):
         """Two threshold points of one block, one stalling at every run: the

@@ -97,6 +97,13 @@ class TestSchedules:
             SolverConfig(mode="loop")
         with pytest.raises(ValueError):
             SolverConfig(schedule=None, c=1.5)
+        # L and max_inner are counts: a non-integer fails here, before a solve
+        # could raise a TypeError or step past the max_inner cap forever.
+        for setting in ({"L": 2.5}, {"max_inner": 200.5}, {"L": "3"}, {"max_inner": np.float64(200.0)}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SolverConfig(**setting)
+        cfg = SolverConfig(L=np.int64(2), max_inner=np.int32(200))
+        assert (cfg.L, cfg.max_inner) == (2, 200)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
