@@ -17,6 +17,7 @@ index see identical problem data.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -160,13 +161,18 @@ def snr_db(s_true, s_est) -> float:
     Each norm is taken on its vector scaled by a power of two near its
     largest magnitude. That scaling is exact, so the value is the plain
     formula's bit for bit wherever no square under- or overflows, and it
-    stays accurate for vectors so small that their squares would.
+    stays accurate for vectors so small that their squares would. Where the
+    difference s − ŝ itself overflows, it is taken on both vectors halved.
     """
     s_true, s_est = _metric_pair(s_true, s_est)
     ref, ref_exp = _scaled_norm(s_true)
     if ref == 0.0:
         raise ZeroReference("SNR is undefined for an all-zero reference")
-    err, err_exp = _scaled_norm(s_true - s_est)
+    with np.errstate(over="ignore"):
+        diff = s_true - s_est
+    halved = not np.all(np.isfinite(diff))
+    err, err_exp = _scaled_norm(np.ldexp(s_true, -1) - np.ldexp(s_est, -1) if halved else diff)
+    err_exp += halved
     if err == 0.0:
         return SNR_CAP_DB
     shift = ref_exp - err_exp
@@ -212,6 +218,15 @@ class SweepPoint(SolverConfig):
     irls_p_norm: float = 0.0
     irls_iterations: int = 50
     irls_regularizer: float = 1e-8
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not isinstance(self.irls_iterations, numbers.Integral) or self.irls_iterations < 0:
+            raise ValueError(f"irls_iterations must be a non-negative integer, got {self.irls_iterations!r}")
+        if not math.isfinite(self.irls_p_norm):
+            raise ValueError(f"irls_p_norm must be finite, got {self.irls_p_norm}")
+        if not 0.0 <= self.irls_regularizer < math.inf:
+            raise ValueError(f"irls_regularizer must be non-negative and finite, got {self.irls_regularizer}")
 
     def source_model(self) -> SourceModel:
         if self.exact_activation:

@@ -5,9 +5,9 @@ used by the error bounds.
 The feasible set of an underdetermined system A·s = x (A of shape n×m with
 n <= m and full row rank) is an affine subspace. Everything here is built on
 one object, :class:`ProjectorFactor`, holding the precomputed pseudoinverse
-A⁺ = Aᵀ(A·Aᵀ)⁻¹. Its four operations, ``min_norm``, ``residual``,
-``project`` and ``pinv_frobenius_norm``, are plain matrix products with no
-factorization or triangular solve per call.
+A⁺ = Aᵀ(A·Aᵀ)⁻¹. Its operators ``min_norm`` (A⁺·x) and ``residual``
+(A·s − x), all the annealing engine uses, are plain matrix products with
+no factorization or triangular solve per call; ``project`` composes them.
 """
 
 from __future__ import annotations
@@ -58,11 +58,11 @@ class ProjectorFactor:
     matrix A.
 
     A⁺ is built once, from the inverse of A·Aᵀ, after that inverse has passed
-    the condition check. The operations the solver iterates on are then matrix
-    products: ``min_norm(x) = A⁺·x``, ``residual(s, x) = A·s − x``, and the
-    projection onto {s : A·s = x}, which is those two. Each checks its operands,
-    which may be in either memory order. ``matrix`` is a C-ordered copy of A
-    and A⁺ is F-ordered, the layout of the solver's sample-major blocks.
+    the condition check. The two operators the solver iterates on are then
+    matrix products, ``min_norm(x) = A⁺·x`` and ``residual(s, x) = A·s − x``,
+    and ``project`` composes them. Each checks its operands, which may be
+    in either memory order. ``matrix`` is a C-ordered copy of A and A⁺ is
+    F-ordered, the layout of the solver's sample-major blocks.
     Everything runs in numpy, so the package uses one BLAS thread pool.
     Immutable after construction; safe to share across concurrent solves.
     The functions that take the matrix A to solve with accept its factor in
@@ -108,7 +108,9 @@ class ProjectorFactor:
 
     def min_norm(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Minimum Euclidean-norm solution A⁺·x of A·s = x, column by column,
-        written into ``out`` when given."""
+        written into ``out`` when given: bit for bit the same into a
+        C-ordered ``out``, to rounding into an F-ordered one (the solver's
+        sample-major blocks), for which BLAS takes the other operand order."""
         x = np.asarray(x, dtype=float)
         n, m = self.source_dims
         if x.ndim not in (1, 2) or x.shape[0] != n:
@@ -128,26 +130,10 @@ class ProjectorFactor:
         r -= x
         return r
 
-    def project(
-        self, s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None, residual: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Project ``s`` onto {s : A·s = x}; fixes points already feasible.
-
-        With ``out``, an array shaped like ``s``, the projection overwrites
-        ``s`` itself, which is returned, and ``out`` is left holding the
-        correction Aᵀ(A·Aᵀ)⁻¹(A·s − x) that was subtracted. ``residual``,
-        shaped like A·s, receives A·s − x in place of a new array. The
-        projection is bit-identical either way when they are C-ordered, as
-        the arrays it allocates are; F-ordered ones, such as the solver's
-        sample-major blocks, make BLAS take the other operand order, which
-        agrees to rounding.
-        """
-        s = np.asarray(s, dtype=float)
-        r = self.residual(s, x, out=residual)
-        if out is None:
-            return s - self._pinv @ r
-        s -= np.matmul(self._pinv, r, out=out)
-        return s
+    def project(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Project ``s`` onto {s : A·s = x} as a new array,
+        s − min_norm(residual(s, x)); fixes points already feasible."""
+        return np.asarray(s, dtype=float) - self.min_norm(self.residual(s, x))
 
     def pinv_frobenius_norm(self) -> float:
         """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹."""

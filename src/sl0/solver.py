@@ -252,7 +252,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     column's last projection formed; the columns that finish together take
     one more product for their final residual. The reports come back in the
     column order of ``x_block`` and carry no wall time. Of the factor, only
-    ``source_dims``, ``min_norm``, ``project`` and ``residual`` are used.
+    ``source_dims``, ``min_norm`` and ``residual`` are used.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
@@ -283,6 +283,14 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         # One product, into the residual workspace, for the columns finishing together.
         return _column_norms(proj.residual(s_rows[first:last].T, x[first:last].T, out=r_rows[first:last].T))
 
+    def ascend(scale) -> None:
+        # s <- s − scale·Δ, then the projection s <- s − A⁺r, r = A·s − x kept in ``r``.
+        fam.ascent_direction(s, sigmas, out=step)
+        np.multiply(step, scale, out=step)
+        np.subtract(s, step, out=s)
+        proj.residual(s, x_act, out=r)
+        np.subtract(s, proj.min_norm(r, out=step), out=s)
+
     def finish(first: int, last: int, resid: np.ndarray) -> None:
         for pos in range(first, last):
             reports[order[pos]] = reports[order[pos]] or SolveReport(
@@ -309,10 +317,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
                             f"sigma={sigmas[pos]:.6g}; the width sequence likely decreased too fast"
                         )
                     break
-                fam.ascent_direction(s, sigmas, out=step)
-                step *= mu * going
-                s -= step
-                proj.project(s, x_act, out=step, residual=r)
+                ascend(mu * going)
                 np.copyto(resid, _column_norms(r), where=going)
                 inner += going
                 f_now = fam.total(s, sigmas, axis=0, out=step)
@@ -320,24 +325,15 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
                 going &= f_now < target
         else:
             for _ in range(cfg.L):
-                fam.ascent_direction(s, sigmas, out=step)
-                step *= mu
-                s -= step
-                proj.project(s, x_act, out=step, residual=r)
+                ascend(mu)
             f_tot = fam.total(s, sigmas, axis=0, out=step)
             # ``r`` still holds A·s − x of the last step before its projection.
             resid = _column_norms(r)
             inner = [cfg.L] * active
         for pos in range(active):
-            traces[pos].append(
-                LevelTrace(
-                    sigma=float(sigmas[pos]),
-                    f_total=float(f_tot[pos]),
-                    residual_norm=float(resid[pos]),
-                    inner_iterations=int(inner[pos]),
-                    estimate=s_rows[pos].copy() if cfg.record_estimates else None,
-                )
-            )
+            estimate = s_rows[pos].copy() if cfg.record_estimates else None
+            trace = LevelTrace(float(sigmas[pos]), float(f_tot[pos]), float(resid[pos]), int(inner[pos]), estimate)
+            traces[pos].append(trace)
     resid = final_residuals(0, active)
     # Release the step, residual and right-hand-side blocks before the last
     # estimates are copied out.

@@ -528,6 +528,7 @@ class TestSolverFlags:
 
 
 SWEEP = ["sweep", "--m", "12", "--n", "5", "--k", "1", "--runs", "1", "--out", "sweep.csv"]
+IRLS_SWEEP = ["sweep", "--m", "30", "--n", "12", "--k", "3", "--runs", "1", "--solver", "irls"]
 EXIT_CASES = {
     # 0: success, the canonical family name and an auto start width in --vary included.
     "solve": (0, ["solve", "--matrix", "{A}", "--rhs", "{x}"]),
@@ -572,6 +573,8 @@ EXIT_CASES = {
     "sweep noise_sigma inf": (
         2, ["sweep", "--m", "30", "--n", "12", "--k", "3", "--runs", "1", "--noise-sigma", "inf"],
     ),
+    "vary irls_p_norm nan": (2, [*IRLS_SWEEP, "--vary", "irls_p_norm=nan"]),
+    "vary irls_iterations negative": (2, [*IRLS_SWEEP, "--vary", "irls_iterations=-3"]),
     "too many geometric widths": (
         2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],
     ),

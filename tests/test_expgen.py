@@ -153,6 +153,11 @@ class TestMetrics:
                 with pytest.raises(ParseError, match="NaN or Inf"):
                     metric(*pair)
 
+    def test_overflowing_difference(self):
+        """Finite vectors whose difference overflows score their exact SNR,
+        here ‖s‖ / ‖s − ŝ‖ = 1/2, rather than a math domain error."""
+        assert snr_db(np.array([1e308, 1.0]), np.array([-1e308, 1.0])) == pytest.approx(20.0 * math.log10(0.5))
+
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(st.floats(min_value=-100, max_value=100), min_size=2, max_size=10),
@@ -373,6 +378,26 @@ class TestSweeps:
                 }
         with pytest.raises(RankDeficient):
             run_trial(replace(base, n=12), 0, 4)
+
+    def test_irls_fields_checked_when_built(self):
+        """A non-integer or negative ``irls_iterations``, a non-finite
+        ``irls_p_norm`` or a negative or non-finite ``irls_regularizer`` is a
+        ValueError when the point is built, before any trial runs."""
+        with pytest.raises(ValueError, match="irls_iterations"):
+            run_sweep({}, runs=1, base_seed=0, base=SweepPoint(m=30, n=12, k=3, solver="irls", irls_iterations=5.5))
+        base = SweepPoint(m=30, n=12, k=3, solver="irls")
+        for bad in (
+            {"irls_iterations": -3},
+            {"irls_iterations": "5"},
+            {"irls_p_norm": math.nan},
+            {"irls_p_norm": math.inf},
+            {"irls_regularizer": -1e-8},
+            {"irls_regularizer": math.inf},
+            {"irls_regularizer": math.nan},
+        ):
+            with pytest.raises(ValueError, match=next(iter(bad))):
+                replace(base, **bad)
+        replace(base, irls_iterations=np.int64(0), irls_p_norm=1.0, irls_regularizer=0.0)
 
     def test_non_finite_estimate_is_a_failure(self, monkeypatch):
         """An estimate holding a NaN is a failed trial, not a capped SNR."""

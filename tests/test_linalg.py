@@ -236,9 +236,10 @@ class TestPrecomputedPseudoinverse:
 
     @pytest.mark.parametrize("t", [None, 1, 10])
     def test_out_gives_the_allocating_values(self, t):
-        """min_norm into ``out`` and project in place on a leading slice of a
-        wider block, with ``out`` and ``residual`` slices too, as the solver
-        runs them, equal the allocating calls exactly."""
+        """min_norm into ``out``, and the engine's projection on a leading
+        slice of a wider block (residual into a ``residual`` slice, min_norm
+        of it into a ``step`` slice, then ``point -= step``), equal the
+        allocating calls exactly."""
         rng = np.random.default_rng(33)
         a = unit_column_matrix(rng, 40, 100)
         proj = ProjectorFactor(a)
@@ -256,7 +257,9 @@ class TestPrecomputedPseudoinverse:
         expected = proj.project(s, x)
         point, step, residual = lead(100), lead(100), lead(40)
         point[...] = s
-        assert proj.project(point, x, out=step, residual=residual) is point
+        assert proj.residual(point, x, out=residual) is residual
+        assert proj.min_norm(residual, out=step) is step
+        point -= step
         assert np.array_equal(point, expected)
         assert np.array_equal(s - step, expected)
         assert np.array_equal(residual, a @ s - x)
@@ -264,10 +267,10 @@ class TestPrecomputedPseudoinverse:
     @pytest.mark.parametrize("n,m", [(40, 100), (400, 1000)])
     @pytest.mark.parametrize("t", [1, 3, 10])
     def test_sample_major_views_give_the_allocating_values(self, n, m, t):
-        """min_norm, residual and project on the F-ordered transposes of the
-        leading rows of C-ordered T×m (T×n) arrays, the solver's sample-major
-        blocks, with ``out`` and ``residual`` views of the same kind, equal
-        their allocating calls. ``residual`` does so bit for bit at every
+        """min_norm, residual and the engine's projection on the F-ordered
+        transposes of the leading rows of C-ordered T×m (T×n) arrays, the
+        solver's sample-major blocks, with ``out`` views of the same kind,
+        equal their allocating calls. ``residual`` does so bit for bit at every
         shape. The products with A⁺ into an F-ordered ``out`` take BLAS's
         other operand order: OpenBLAS rounds the two orders alike at n = 400
         (bit for bit here) but not at every n (n = 40 agrees to rounding)."""
@@ -297,7 +300,9 @@ class TestPrecomputedPseudoinverse:
         assert np.array_equal(out, proj.residual(s, x))
         expected = proj.project(s, x)
         point, step, residual = rows(m, s), rows(m), rows(n)
-        assert proj.project(point, x, out=step, residual=residual) is point
+        assert proj.residual(point, x, out=residual) is residual
+        assert proj.min_norm(residual, out=step) is step
+        point -= step
         assert_matches(point, expected)
         assert np.array_equal(s - step, point)
         assert np.array_equal(residual, proj.residual(s, x))

@@ -617,14 +617,14 @@ class TestBatch:
     @pytest.mark.parametrize("mode", ["fixed", "threshold"])
     def test_engine_needs_no_dense_matrix(self, mode):
         """The engine runs on a factor that offers only ``source_dims``,
-        ``min_norm``, ``project`` and ``residual``, and returns the dense
-        factor's estimates and residuals, columns finishing at different
-        levels included."""
+        ``min_norm`` and ``residual``, and returns the dense factor's
+        estimates and residuals, columns finishing at different levels
+        included."""
 
         class MatrixFree:
             def __init__(self, factor):
                 self.source_dims = factor.source_dims
-                self.min_norm, self.project, self.residual = factor.min_norm, factor.project, factor.residual
+                self.min_norm, self.residual = factor.min_norm, factor.residual
 
         rng = np.random.default_rng(31)
         a = unit_column_matrix(rng, 20, 50)
@@ -632,7 +632,7 @@ class TestBatch:
         block = a @ np.where(rng.random((50, 6)) < 0.1, rng.standard_normal((50, 6)), 0.0)
         cfgs = [SolverConfig(schedule=None, sigma1=1.0, c=c, mu=2.0, mode=mode) for c in (0.5, 0.8, 0.95)] * 2
         stand_in = MatrixFree(proj)
-        assert not hasattr(stand_in, "matrix")
+        assert not hasattr(stand_in, "matrix") and not hasattr(stand_in, "project")
         for got, want in zip(_anneal_block(stand_in, block, cfgs), _anneal_block(proj, block, cfgs), strict=True):
             if isinstance(want, ThresholdUnreachable):
                 assert isinstance(got, ThresholdUnreachable) and str(got) == str(want)
