@@ -150,9 +150,21 @@ def _metric_pair(s_true, s_est) -> tuple[np.ndarray, np.ndarray]:
 
 
 def mse(s_true, s_est) -> float:
-    """Mean squared componentwise error."""
+    """Mean squared componentwise error, saturating at ``inf`` only where
+    the mean itself is beyond the float range.
+
+    Where the difference s − ŝ or its squares overflow, the mean is taken
+    from the norm of the difference of both vectors halved, scaled by a
+    power of two as :func:`snr_db` scales it; elsewhere it is the plain
+    formula's value.
+    """
     s_true, s_est = _metric_pair(s_true, s_est)
-    return float(np.mean((s_true - s_est) ** 2))
+    with np.errstate(over="ignore"):
+        value = float(np.mean((s_true - s_est) ** 2))
+        if value < math.inf:
+            return value
+        err, err_exp = _scaled_norm(np.ldexp(s_true, -1) - np.ldexp(s_est, -1))
+        return float(np.ldexp(err * err / s_true.size, 2 * err_exp + 2))
 
 
 def snr_db(s_true, s_est) -> float:

@@ -137,15 +137,16 @@ class SolverConfig:
         if self.mode not in ("fixed", "threshold"):
             raise ValueError(f"mode must be 'fixed' or 'threshold', got {self.mode!r}")
 
-    def resolve_schedule(self, s0: np.ndarray) -> tuple[float, ...] | None:
-        """Widths to run for an initial iterate; None when the start width is
-        undefined (auto selection on an all-zero iterate)."""
+    def resolve_schedule(self, s0: np.ndarray) -> tuple[float, ...]:
+        """Widths to run for an initial iterate; empty when the start width is
+        undefined (auto selection on an all-zero iterate), which is then the
+        estimate."""
         if self.schedule is not None:
             return self.schedule
         sigma1 = self.sigma1
         if sigma1 is None:
             if not np.any(s0):
-                return None
+                return ()
             sigma1 = auto_sigma1(s0)
         return geometric_schedule(sigma1, self.c, self.sigma_min)
 
@@ -233,26 +234,25 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
 
     The configs may differ in the :data:`WIDTH_FIELDS` alone; the first
     one's other settings are used. The columns are ordered by schedule
-    length, longest first, so the columns still annealing at each level are
-    the leading ones; when a column's schedule runs out, its estimate is
-    copied out and the block shrinks to the columns still annealing. Every
-    step runs in place on workspaces allocated once, held sample-major:
-    column t of the m×T iterate block, the m×T step block and the n×T
-    residual block is row t of a C-ordered T×m (T×n) array, and so is
-    column t of the right-hand sides, made C-contiguous once. The factor
-    and the penalty see their F-ordered m×k (n×k) transposes, whose active
-    columns are always a prefix of rows, so shrinking the block is a slice.
-    A fixed-mode level takes L steps. A threshold-mode level steps until
-    every column's smoothed measure, evaluated on the block at each check,
-    has reached the target; a column
-    that has reached it takes zero steps until the level ends, so each
-    column gets exactly the steps of its own solve. A column still below the
-    target after max_inner steps is frozen, and its report slot holds the
-    ``ThresholdUnreachable`` instead. Each level's residual is the one the
-    column's last projection formed; the columns that finish together take
-    one more product for their final residual. The reports come back in the
-    column order of ``x_block`` and carry no wall time. Of the factor, only
-    ``source_dims``, ``min_norm`` and ``residual`` are used.
+    length, longest first, so the columns whose schedules reach a level are
+    the leading ones; the others take no more steps and already hold their
+    estimates. Every step runs in place on workspaces allocated once, held
+    sample-major: column t of the m×T iterate block, the m×T step block and
+    the n×T residual block is row t of a C-ordered T×m (T×n) array, and so
+    is column t of the right-hand sides, made C-contiguous once. The factor
+    and the penalty see their F-ordered m×k (n×k) transposes of the k
+    leading rows. A fixed-mode level takes L steps. A threshold-mode level
+    steps until every column's smoothed measure, evaluated on the block at
+    each check, has reached the target; a column that has reached it takes
+    zero steps until the level ends, so each column gets exactly the steps
+    of its own solve. A column still below the target after max_inner steps
+    is frozen, and its report slot holds the ``ThresholdUnreachable``
+    instead. Each level's residual is the one the column's last projection
+    formed. After the last level one product over the whole block gives
+    every final residual, the step, residual and right-hand-side blocks are
+    freed, and each estimate is copied out once. The reports come back in
+    the column order of ``x_block`` and carry no wall time. Of the factor,
+    only ``source_dims``, ``min_norm`` and ``residual`` are used.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
@@ -264,12 +264,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     x = np.ascontiguousarray(x_block.T)
     s_rows, step_rows, r_rows = np.empty((t_count, m)), np.empty((t_count, m)), np.empty((t_count, n))
     s = proj.min_norm(x.T, out=s_rows.T)
-    schedules = []
-    for t, col_cfg in enumerate(cfgs):
-        sched = col_cfg.resolve_schedule(s[:, t])
-        schedules.append(sched if sched is not None else ())
-        if sched is None:
-            s[:, t] = 0.0
+    schedules = [col_cfg.resolve_schedule(s[:, t]) for t, col_cfg in enumerate(cfgs)]
     order = sorted(range(t_count), key=lambda t: -len(schedules[t]))
     if order != sorted(order):
         # mode="clip" writes straight into ``out``; the default mode buffers.
@@ -277,11 +272,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         x = x[order]
         schedules = [schedules[t] for t in order]
     traces: list[list[LevelTrace]] = [[] for _ in range(t_count)]
-    reports: list[SolveReport | ThresholdUnreachable | None] = [None] * t_count
-
-    def final_residuals(first: int, last: int) -> np.ndarray:
-        # One product, into the residual workspace, for the columns finishing together.
-        return _column_norms(proj.residual(s_rows[first:last].T, x[first:last].T, out=r_rows[first:last].T))
+    failed: dict[int, ThresholdUnreachable] = {}  # keyed by column of ``x_block``
 
     def ascend(scale) -> None:
         # s <- s − scale·Δ, then the projection s <- s − A⁺r, r = A·s − x kept in ``r``.
@@ -291,28 +282,18 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
         proj.residual(s, x_act, out=r)
         np.subtract(s, proj.min_norm(r, out=step), out=s)
 
-    def finish(first: int, last: int, resid: np.ndarray) -> None:
-        for pos in range(first, last):
-            reports[order[pos]] = reports[order[pos]] or SolveReport(
-                s_rows[pos].copy(), traces[pos], residual_norm=float(resid[pos - first])
-            )
-
-    active = t_count
     for level in range(len(schedules[0])):
-        still = sum(len(sch) > level for sch in schedules[:active])
-        if still < active:
-            finish(still, active, final_residuals(still, active))
-            active = still
+        active = sum(len(sch) > level for sch in schedules)
         s, step, r, x_act = s_rows[:active].T, step_rows[:active].T, r_rows[:active].T, x[:active].T
         sigmas = np.array([sch[level] for sch in schedules[:active]])
         if cfg.mode == "threshold":
             f_tot = fam.total(s, sigmas, axis=0, out=step)
-            going = (f_tot < target) & np.array([reports[t] is None for t in order[:active]])
+            going = (f_tot < target) & np.array([t not in failed for t in order[:active]])
             inner, resid = np.zeros(active, dtype=int), np.zeros(active)
             while going.any():
                 if inner[going][0] == cfg.max_inner:  # the columns still going took every step
                     for pos in np.flatnonzero(going):
-                        reports[order[pos]] = ThresholdUnreachable(
+                        failed[order[pos]] = ThresholdUnreachable(
                             f"smoothed measure stuck below {target:.6g} after {inner[pos]} inner steps at "
                             f"sigma={sigmas[pos]:.6g}; the width sequence likely decreased too fast"
                         )
@@ -334,11 +315,13 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
             estimate = s_rows[pos].copy() if cfg.record_estimates else None
             trace = LevelTrace(float(sigmas[pos]), float(f_tot[pos]), float(resid[pos]), int(inner[pos]), estimate)
             traces[pos].append(trace)
-    resid = final_residuals(0, active)
-    # Release the step, residual and right-hand-side blocks before the last
+    final = _column_norms(proj.residual(s_rows.T, x.T, out=r_rows.T))
+    # Release the step, residual and right-hand-side blocks before the
     # estimates are copied out.
     step_rows = r_rows = x = step = r = x_act = None
-    finish(0, active, resid)
+    reports: list[SolveReport | ThresholdUnreachable] = [None] * t_count
+    for pos, t in enumerate(order):
+        reports[t] = failed.get(t) or SolveReport(s_rows[pos].copy(), traces[pos], residual_norm=float(final[pos]))
     return reports
 
 

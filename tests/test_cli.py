@@ -99,6 +99,22 @@ class TestSolve:
         final_f = float([r for r in rows if r[0] == "total"][0][1])
         assert final_f >= 6 - 3 / 2
 
+    def test_zero_rhs_auto_width(self, tmp_path, capsys):
+        """An all-zero right-hand side under an auto start width anneals no
+        level: the command says so and the report holds only the total row."""
+        assert run_cli(*gen_args(tmp_path)) == 0
+        save_vector(tmp_path / "zero.vec", np.zeros(3))
+        rep = tmp_path / "report.csv"
+        code = run_cli(
+            "solve", "--matrix", tmp_path / "A.mat", "--rhs", tmp_path / "zero.vec", "--sigma1", "auto",
+            "--out-estimate", tmp_path / "s_hat.vec", "--out-report", rep,
+        )
+        assert code == 0
+        assert "zero right-hand side: estimate is the zero vector" in capsys.readouterr().out
+        with open(rep, newline="") as fh:
+            assert list(csv.reader(fh)) == [["sigma", "F", "residual", "inner_iters"], ["total", "", "0", "0"]]
+        assert np.all(load_vector(tmp_path / "s_hat.vec") == 0.0)
+
     def test_malformed_matrix_no_partial_outputs(self, tmp_path, capsys):
         bad = tmp_path / "A.mat"
         bad.write_text("2 2\n1 2\n")
@@ -537,6 +553,8 @@ EXIT_CASES = {
     "bound": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"]),
     "bound ignores SL0_SEED": (0, ["bound", "--matrix", "{A}", "--estimate", "{s}"], {"SL0_SEED": "abc"}),
     "sweep seed beside SL0_SEED": (0, [*SWEEP, "--seed", "3"], {"SL0_SEED": "abc"}),
+    "vary bool values": (0, [*SWEEP, "--vary", "exact_activation=true,no"]),
+    "zero rhs auto width": (0, ["solve", "--matrix", "{A}", "--rhs", "{zero_x}", "--sigma1", "auto"]),
     # 2: usage, out-of-range or non-finite settings, unreadable flag or --vary values.
     "unknown flag": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--frobnicate", "1"]),
     "unknown family": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--family", "bogus"]),
@@ -552,6 +570,7 @@ EXIT_CASES = {
     "vary unknown key": (2, [*SWEEP, "--vary", "bogus=1"]),
     "vary not a number": (2, [*SWEEP, "--vary", "c=abc"]),
     "vary bool": (2, [*SWEEP, "--vary", "exact_activation=maybe"]),
+    "vary without values": (2, [*SWEEP, "--vary", "c"]),
     "vary repeated key": (2, [*SWEEP, "--vary", "k=2", "--vary", "k=3"]),
     "sweep m zero": (2, ["sweep", "--m", "0", "--n", "5", "--k", "1", "--runs", "1", "--out", "sweep.csv"]),
     "L not an integer": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--L", "2.5"]),
@@ -581,6 +600,9 @@ EXIT_CASES = {
     # 3: malformed input data, binary files, paths that cannot be read or written.
     "missing file": (3, ["solve", "--matrix", "{missing}", "--rhs", "{x}"]),
     "malformed matrix": (3, ["solve", "--matrix", "{short}", "--rhs", "{x}"]),
+    "non-integer matrix header": (3, ["bound", "--matrix", "{bad_header}", "--estimate", "{s}"]),
+    "matrix without data rows": (3, ["bound", "--matrix", "{header_only}", "--estimate", "{s}"]),
+    "matrix rows too short": (3, ["bound", "--matrix", "{narrow}", "--estimate", "{s}"]),
     "binary matrix": (3, ["solve", "--matrix", "{binary}", "--rhs", "{x}"]),
     "matrix is a directory": (3, ["solve", "--matrix", "{dir}", "--rhs", "{x}"]),
     "output is a directory": (3, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--out-estimate", "{dir}"]),
@@ -613,7 +635,11 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
     save_vector("x2.vec", [1.0, 2.0])
     save_matrix("big.mat", np.random.default_rng(8).standard_normal((10, 50)))
     save_vector("big_s.vec", np.zeros(50))
+    save_vector("zero_x.vec", np.zeros(3))
     (tmp_path / "short.mat").write_text("2 2\n1 2\n")
+    (tmp_path / "bad_header.mat").write_text("2 x\n1 2\n")
+    (tmp_path / "header_only.mat").write_text("2 3\n")
+    (tmp_path / "narrow.mat").write_text("2 3\n1 2\n3 4\n")
     (tmp_path / "binary.mat").write_bytes(b"3 6\n\xff\xfe\x00\x81")
     (tmp_path / "dir").mkdir()
     os.mkfifo(tmp_path / "fifo")

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -37,6 +38,13 @@ class TestSourceModel:
             SourceModel(m=10)
         with pytest.raises(ValueError):
             SourceModel(m=10, p=0.1, exact_k=2)
+
+    @pytest.mark.parametrize(
+        "counts, message", [({"m": 0, "p": 0.1}, "m must be positive"), ({"m": 5, "exact_k": 6}, "exact_k")]
+    )
+    def test_rejects_bad_counts(self, counts, message):
+        with pytest.raises(ValueError, match=message):
+            SourceModel(**counts)
 
     def test_rejects_bad_scales(self):
         with pytest.raises(ValueError):
@@ -152,6 +160,29 @@ class TestMetrics:
             for pair in ((s, e), (e, s)):
                 with pytest.raises(ParseError, match="NaN or Inf"):
                     metric(*pair)
+
+    @pytest.mark.parametrize("metric", [snr_db, mse])
+    def test_shape_mismatch_rejected(self, metric):
+        with pytest.raises(DimensionMismatch):
+            metric(np.ones(3), np.ones(4))
+
+    def test_ratio_past_the_float_range(self):
+        """‖s‖ / ‖s − ŝ‖ ≈ 1e-310, 2**-1030 times a normal float, is taken
+        as a sum of logarithms rather than rescaled."""
+        assert snr_db([1e-300], [1e10]) == -6200.0
+
+    @pytest.mark.parametrize(
+        "s_true, s_est, expected",
+        [(np.r_[1.5e155, np.zeros(999)], np.zeros(1000), 2.25e307), ([1e308, 1.0], [-1e308, 1.0], math.inf)],
+        ids=["squares overflow", "mean overflows"],
+    )
+    def test_mse_overflows_only_with_the_mean(self, s_true, s_est, expected):
+        """Where the squares overflow but the mean is a float, the MSE is its
+        value; only a mean past the float range saturates at inf, and
+        neither warns."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert mse(s_true, s_est) == pytest.approx(expected, rel=1e-15)
 
     def test_overflowing_difference(self):
         """Finite vectors whose difference overflows score their exact SNR,
@@ -336,6 +367,10 @@ class TestSweeps:
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
             run_sweep({}, runs=1, base_seed=0, base=SweepPoint(m=30, n=12, k=3), jobs=jobs)
+
+    def test_no_runs_rejected(self):
+        with pytest.raises(ValueError, match="runs"):
+            run_sweep({}, runs=0, base_seed=0, base=SweepPoint(m=30, n=12, k=3))
 
     def test_varying_width_keys_needs_geometric_base(self):
         with pytest.raises(ValueError):
@@ -607,6 +642,16 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert lines[0].startswith("k,run_index,seed,snr_db")
         assert len(lines) == 3
+
+    def test_no_rows_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="no rows"):
+            write_sweep_csv([], tmp_path / "empty.csv")
+        assert not (tmp_path / "empty.csv").exists()
+
+
+def test_generate_problem_rejects_mismatched_widths():
+    with pytest.raises(DimensionMismatch):
+        generate_problem(SourceModel(m=30, p=0.2), MixingSpec(n=12, m=40), seed=0)
 
 
 def test_generate_problem_streams_are_independent():

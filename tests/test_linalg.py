@@ -16,6 +16,8 @@ import sl0.linalg
 from sl0.linalg import (
     ProjectorFactor,
     _factor_of,
+    as_matrix,
+    as_vector,
     check_urp,
     compute_M,
     load_matrix,
@@ -77,6 +79,20 @@ class TestMinNormSolution:
         a = unit_column_matrix(np.random.default_rng(0), 4, 9)
         with pytest.raises(DimensionMismatch):
             min_norm_solution(a, np.zeros(5))
+
+
+@pytest.mark.parametrize(
+    "coerce, value, error",
+    [
+        (as_matrix, np.zeros((0, 3)), DimensionMismatch),
+        (as_vector, np.ones((2, 2)), DimensionMismatch),
+        (as_vector, [np.nan], ParseError),
+    ],
+    ids=["empty matrix", "2-D vector", "NaN vector"],
+)
+def test_coercion_rejects(coerce, value, error):
+    with pytest.raises(error):
+        coerce(value)
 
 
 class TestProjectorFactor:
@@ -427,6 +443,13 @@ class TestCheckUrp:
 
     def test_duplicate_columns(self):
         assert check_urp(np.array([[1.0, 1.0, 2.0], [1.0, 1.0, 3.0]])) is False
+
+    def test_zero_column(self):
+        assert check_urp(np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]])) is False
+
+    def test_tall_matrix_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            check_urp(np.ones((3, 2)))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_random_gaussian_matches_rank_oracle(self, seed):

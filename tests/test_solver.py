@@ -472,6 +472,19 @@ class TestBatch:
             single = sl0_solve(a, block[:, t], SolverConfig(schedule=None, c=0.5, sigma_min=0.01))
             assert np.linalg.norm(reports[t].estimate - single.estimate) <= 1e-9
 
+    @pytest.mark.parametrize("t_count", [1, 3])
+    def test_zero_column_estimate_holds_no_negative_zero(self, t_count):
+        """An all-zero right-hand side under auto widths anneals no level,
+        alone or beside columns that do, and its estimate is +0.0 in every
+        entry."""
+        rng = np.random.default_rng(22)
+        a = unit_column_matrix(rng, 6, 15)
+        block = rng.standard_normal((6, t_count))
+        block[:, 0] = 0.0
+        report = sl0_solve_batch(a, block, SolverConfig(schedule=None, c=0.5, sigma_min=0.01))[0]
+        assert report.trace == [] and report.residual_norm == 0.0
+        assert np.all(report.estimate == 0.0) and not np.any(np.signbit(report.estimate))
+
     @pytest.mark.parametrize("t_count", [1, 3, 10])
     def test_memory_order_of_inputs_changes_nothing(self, t_count):
         """C- and F-ordered ``a`` and ``x_block`` give the same reports bit
@@ -821,6 +834,11 @@ class TestSigmaFloorNoisy:
         with pytest.raises(TooManyActive):
             suggest_sigma_floor_noisy(a, k=5, epsilon=0.1)
 
+    def test_negative_noise_rejected(self):
+        a = unit_column_matrix(np.random.default_rng(0), 4, 9)
+        with pytest.raises(ValueError, match="epsilon"):
+            suggest_sigma_floor_noisy(a, k=1, epsilon=-0.1)
+
 
 class TestErrorUpperBound:
     def test_sparse_estimate_gives_zero(self):
@@ -861,6 +879,12 @@ class TestIrls:
     def test_zero_rhs(self):
         a = unit_column_matrix(np.random.default_rng(40), 4, 9)
         assert np.all(irls_solve(a, np.zeros(4)) == 0.0)
+
+    def test_singular_reweighting_falls_back_to_least_squares(self):
+        """Without the regularizer a zero iterate weights every column by 0,
+        so A·W·Aᵀ is singular; the least-squares solve keeps the zeros."""
+        a = unit_column_matrix(np.random.default_rng(40), 4, 9)
+        assert np.all(irls_solve(a, np.zeros(4), regularizer=0.0) == 0.0)
 
     def test_identity_block_system(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
