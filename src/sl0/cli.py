@@ -175,11 +175,14 @@ def _given(args, names) -> dict:
 def _solver_fields(args, varied=()) -> dict:
     """The SolverConfig fields the solver flags set, as keyword arguments.
 
-    ``--schedule`` gives the widths. Otherwise a geometric field given by
+    ``--schedule`` gives the widths, and a geometric flag beside it is a
+    usage error, even at its default. Otherwise a geometric field given by
     its flag or named in ``varied`` (the ``--vary`` keys) switches to a
     geometric sequence, and the fields not given keep their defaults.
     """
     given = _given(args, _SOLVER_FIELDS)
+    if "schedule" in given and given.keys() & set(solver.GEOMETRIC_FIELDS):
+        raise ValueError("--schedule gives the widths; drop --sigma1, --c and --sigma-min")
     if "schedule" not in given and (given.keys() | set(varied)) & set(solver.GEOMETRIC_FIELDS):
         given["schedule"] = None
     return given

@@ -411,12 +411,8 @@ def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
             blocks.setdefault(key + engine, (factor, []))[1].append((i, s_true, x))
         else:
             started = time.perf_counter()
-            try:
-                estimate = irls_solve(factor, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer)
-            except Sl0Error as exc:
-                outcomes[i] = exc
-            else:
-                outcomes[i] = _score(s_true, estimate, time.perf_counter() - started, run_index)
+            estimate = irls_solve(factor, x, point.irls_p_norm, point.irls_iterations, point.irls_regularizer)
+            outcomes[i] = _score(s_true, estimate, time.perf_counter() - started, run_index)
 
     for factor, members in blocks.values():
         x_block = np.column_stack([x for _, _, x in members])

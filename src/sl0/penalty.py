@@ -97,33 +97,27 @@ class PenaltyFamily:
         return np.sum(self.value(s, sigma, out=out), axis=axis)
 
     def ascent_direction(self, s, sigma, out=None):
-        """Step -sigma²·∇ of :meth:`total`, componentwise.
-
-        For the kinked families the derivative at |s| = sigma (and at 0 for
-        the triangular one) is taken as 0, so the step vanishes there.
+        """Step -sigma²·∇ of :meth:`total`, componentwise, written from the
+        value v: s·v (gaussian), 2s·v² (rational), and sigma·sign(s)
+        (triangular) or 2s (truncated hyperbolic) where v > 0, else 0, so a
+        kinked step vanishes at |s| = sigma (the triangular one at 0 too).
         ``out``, as in :meth:`value`, receives the step bit for bit as the
-        allocating call gives it; only the rational family still allocates
-        one temporary then.
+        allocating call gives it, with no temporary of its size.
         """
         _check_sigma(sigma)
         s = np.asarray(s, dtype=float)
-        out = _out_for(s, sigma, out)
-        if self.kind == "gaussian":
-            np.multiply(s, self._value_into(s, sigma, out), out=out)
-        elif self.kind in ("triangular", "truncated_hyperbolic"):
-            inside = np.abs(np.divide(s, sigma, out=out), out=out) < 1.0
-            if self.kind == "triangular":
-                np.multiply(np.sign(s, out=out), sigma, out=out)
-            else:
-                np.multiply(2.0, s, out=out)
-            np.copyto(out, 0.0, where=~inside)
+        v = self._value_into(s, sigma, _out_for(s, sigma, out))
+        if self.is_smooth:
+            if self.kind == "rational":
+                np.multiply(2.0, np.square(v, out=v), out=v)
+            return _unwrap(np.multiply(s, v, out=v))
+        outside = ~(v > 0.0)
+        if self.kind == "triangular":
+            np.multiply(np.sign(s, out=v), sigma, out=v)
         else:
-            sig2 = np.square(sigma)
-            numerator = 2.0 * s * sig2 * sig2
-            np.multiply(s, s, out=out)
-            np.square(np.add(out, sig2, out=out), out=out)
-            np.divide(numerator, out, out=out)
-        return _unwrap(out)
+            np.multiply(2.0, s, out=v)
+        np.copyto(v, 0.0, where=outside)
+        return _unwrap(v)
 
 
 def _out_for(s, sigma, out):

@@ -20,7 +20,7 @@ import csv
 import math
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -124,6 +124,8 @@ class SolverConfig:
         if isinstance(self.family, str):
             object.__setattr__(self, "family", PenaltyFamily(self.family))
         if self.schedule is not None:
+            if any(getattr(self, f.name) != f.default for f in fields(SolverConfig) if f.name in GEOMETRIC_FIELDS):
+                raise ValueError("an explicit schedule ignores sigma1, c and sigma_min; set schedule=None to use them")
             object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         else:
             _check_geometric(self.sigma1, self.c, self.sigma_min)

@@ -578,6 +578,9 @@ EXIT_CASES = {
     "sigma1 not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--sigma1", "bogus"]),
     "vary sigma1 not a number": (2, [*SWEEP, "--vary", "sigma1=bogus"]),
     "schedule not a number": (2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--schedule", "a,b"]),
+    "schedule with geometric flag": (
+        2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--schedule", "1,0.5,0.1", "--c", "0.5"],
+    ),
     "bad flag beside missing file": (2, ["solve", "--matrix", "{missing}", "--rhs", "{x}", "--sigma1", "bogus"]),
     "batch bad flag beside missing file": (
         2, ["batch", "--matrix", "{missing}", "--rhs", "{x}", "--sigma1", "bogus"],

@@ -171,6 +171,39 @@ def test_direction_matches_finite_differences(fam):
         np.testing.assert_allclose(exact, fd, rtol=1e-5, atol=1e-8 * sigma)
 
 
+# Each family's step -σ²·∇ of its value, in the family's own closed form:
+# s·e^(−s²/2σ²), 2sσ⁴/(s² + σ²)², σ·sign(s)·[|s| < σ] and 2s·[|s| < σ].
+CLOSED_FORM_STEPS = {
+    "gaussian": lambda s, sig: s * np.exp(s * s / (-2.0 * np.square(sig))),
+    "rational": lambda s, sig: 2.0 * s * np.square(sig) * np.square(sig) / np.square(s * s + np.square(sig)),
+    "triangular": lambda s, sig: np.where(np.abs(s / sig) < 1.0, np.sign(s) * sig, 0.0),
+    "truncated_hyperbolic": lambda s, sig: np.where(np.abs(s / sig) < 1.0, 2.0 * s, 0.0),
+}
+
+
+@pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
+@pytest.mark.parametrize("per_column", [False, True], ids=["scalar_sigma", "column_sigma"])
+def test_step_equals_its_closed_form(fam, per_column):
+    """The step taken from the value equals the closed form bit for bit for
+    the gaussian and kinked families, and to 1e-15 relative for the rational
+    one, whose formulas round differently: at 0, ±σ, just inside and
+    outside ±σ, and at ratios |s|/σ from 1e-8 to 1e3, with widths from 1e-50
+    to 1e50."""
+    sig = np.array([1e-50, 1e-6, 1e-3, 0.7, 1.0, 37.5, 1e6, 1e50])
+    inner, outer = np.nextafter(sig, 0.0), np.nextafter(sig, np.inf)
+    ratios = np.array([1e-8, 1e-3, 0.1, 0.5, 1.0 / math.sqrt(3.0), 0.999, 1.5, 4.0, 30.0, 1e3])
+    scaled = np.outer(ratios, sig)
+    s = np.vstack([np.zeros_like(sig), sig, -sig, inner, -inner, outer, -outer, scaled, -scaled])
+    columns = [(s, sig)] if per_column else [(s[:, t], sig[t]) for t in range(sig.size)]
+    for col, width in columns:
+        want = CLOSED_FORM_STEPS[fam.kind](col, width)
+        for got in (fam.ascent_direction(col, width), fam.ascent_direction(col, width, out=np.empty_like(col))):
+            if fam.kind == "rational":
+                np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+            else:
+                assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("fam", ALL_FAMILIES, ids=lambda f: f.kind)
 def test_direction_vanishes_at_kinks_and_origin(fam):
     sigma = 1.3

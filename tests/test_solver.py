@@ -25,7 +25,7 @@ from sl0.errors import (
 )
 from sl0.expgen import SweepPoint, generate_problem
 from sl0.linalg import ProjectorFactor, compute_M, min_norm_solution
-from sl0.penalty import PenaltyFamily
+from sl0.penalty import KINDS, PenaltyFamily
 from sl0.solver import (
     DEFAULT_SCHEDULE,
     MAX_LEVELS,
@@ -97,6 +97,16 @@ class TestSchedules:
             SolverConfig(mode="loop")
         with pytest.raises(ValueError):
             SolverConfig(schedule=None, c=1.5)
+        # An explicit schedule would silently ignore the geometric fields, so
+        # setting any of them beside it fails; a sweep point inherits this.
+        for setting in ({"sigma1": 2.0}, {"c": 0.8}, {"sigma_min": 1e-4}, {"c": 0.8, "sigma_min": 1e-4}):
+            with pytest.raises(ValueError, match="explicit schedule"):
+                SolverConfig(**setting)
+            with pytest.raises(ValueError, match="explicit schedule"):
+                SolverConfig(schedule=(1.0, 0.5, 0.1), **setting)
+        with pytest.raises(ValueError, match="explicit schedule"):
+            SweepPoint(m=30, n=12, k=3, c=0.95, sigma_min=1e-3)
+        assert SolverConfig(schedule=(1.0, 0.1), sigma1=None, c=0.5, sigma_min=0.01).schedule == (1.0, 0.1)
         # L and max_inner are counts: a non-integer fails here, before a solve
         # could raise a TypeError or step past the max_inner cap forever.
         for setting in ({"L": 2.5}, {"max_inner": 200.5}, {"L": "3"}, {"max_inner": np.float64(200.0)}):
@@ -606,22 +616,25 @@ class TestBatch:
         sl0_solve_batch(proj, block)
         assert len(calls) == 1 + 2 * 3 * len(DEFAULT_SCHEDULE) + 1
 
-    def test_second_block_allocates_no_step_temporaries(self):
+    @pytest.mark.parametrize("family", KINDS)
+    def test_second_block_allocates_no_step_temporaries(self, family):
         """A fixed-mode block on a prebuilt factor peaks below 3.75·m·T
-        doubles of new memory: its workspaces, the sample-major iterate,
-        step and residual blocks and the copy of the right-hand sides
-        ((2m + 2n)·T = 2.8·m·T here), beside the traces it returns
-        (≈ 0.75·m·T); all but the iterate block are freed before the
-        estimates are copied out. One m×T temporary per step would add m·T."""
+        doubles of new memory, with every smoothing family: its workspaces,
+        the sample-major iterate, step and residual blocks and the copy of
+        the right-hand sides ((2m + 2n)·T = 2.8·m·T here), beside the traces
+        it returns (≈ 0.75·m·T); all but the iterate block are freed before
+        the estimates are copied out. One m×T temporary per step would add
+        m·T; a kinked family's boolean support mask adds m·T/8."""
         n, m, t_count = 80, 200, 500
         rng = np.random.default_rng(27)
         a = unit_column_matrix(rng, n, m)
         proj = ProjectorFactor(a)
         block = a @ np.where(rng.random((m, t_count)) < 0.1, rng.standard_normal((m, t_count)), 0.0)
-        sl0_solve_batch(proj, block)
+        cfg = SolverConfig(family=family)
+        sl0_solve_batch(proj, block, cfg)
         tracemalloc.start()
         try:
-            sl0_solve_batch(proj, block)
+            sl0_solve_batch(proj, block, cfg)
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
