@@ -235,8 +235,8 @@ class SweepPoint(SolverConfig):
         super().__post_init__()
         if not isinstance(self.irls_iterations, numbers.Integral) or self.irls_iterations < 0:
             raise ValueError(f"irls_iterations must be a non-negative integer, got {self.irls_iterations!r}")
-        if not math.isfinite(self.irls_p_norm):
-            raise ValueError(f"irls_p_norm must be finite, got {self.irls_p_norm}")
+        if not 0.0 <= self.irls_p_norm <= 2.0:
+            raise ValueError(f"irls_p_norm must lie in [0, 2], got {self.irls_p_norm}")
         if not 0.0 <= self.irls_regularizer < math.inf:
             raise ValueError(f"irls_regularizer must be non-negative and finite, got {self.irls_regularizer}")
 
@@ -270,11 +270,11 @@ def _score(s_true, estimate, wall: float, run_index: int) -> TrialResult | Sl0Er
         return exc
 
 
-def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
-    """Each combination of the ``grid`` values, as its overrides and
-    ``base`` with them applied. Every point's problem and solver are
-    checked here, before anything is drawn; ``base`` alone is not, since
-    the grid may override what makes it invalid."""
+def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint, MixingSpec, SourceModel]]:
+    """Each combination of the ``grid`` values, as its overrides, ``base``
+    with them applied, and that point's mixing spec and source model. Every
+    point's problem and solver are checked here, before anything is drawn;
+    ``base`` alone is not, since the grid may override what makes it invalid."""
     valid = {f.name for f in fields(SweepPoint) if f.init}
     for key in grid:
         if key not in valid:
@@ -289,11 +289,11 @@ def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint]]:
     for combo in product(*(grid[k] for k in keys)):
         overrides = dict(zip(keys, combo))
         point = replace(base, **overrides)
-        point.mixing_spec()  # first, so that source_model() divides by an m >= 1
-        point.source_model()
+        spec = point.mixing_spec()  # first, so that source_model() divides by an m >= 1
+        model = point.source_model()
         if point.solver not in SOLVERS:
             raise ValueError(f"unknown solver {point.solver!r}; choose sl0 or irls")
-        points.append((overrides, point))
+        points.append((overrides, point, spec, model))
     return points
 
 
@@ -343,7 +343,7 @@ def run_sweep(
 
     rows = []
     trial_rows = []
-    for i, (overrides, _point) in enumerate(points):
+    for i, (overrides, *_) in enumerate(points):
         chunk = [outcomes[i] for outcomes in by_run]
         good = [t for t in chunk if isinstance(t, TrialResult)]
         snrs = np.array([t.snr_db for t in good])
@@ -375,35 +375,32 @@ def run_sweep(
 
 def _sweep_run_index(points, run_index: int, base_seed: int) -> list:
     """Trial outcomes (TrialResult or the Sl0Error raised) of one run index
-    at every grid point.
+    at every grid point, drawn from :func:`_grid_points`' specs and models.
 
-    The first grid point of each (n, m) draws the whole problem and factors
-    its matrix, and the others draw only their sources and noise on that
-    matrix, so every problem is bit-identical to :func:`generate_problem` at
-    the trial seed. Each IRLS point is solved as it is drawn. The sl0 points
-    of one (n, m) whose solver settings differ in the width fields alone are
-    then annealed as one block, each column on its own point's widths, and
-    each is timed at its share of the block's wall time. The factors live
-    only until this returns, except the last one built, which stays in the
-    package's factor slot until another matrix is factored.
+    The first point of each (n, m) draws the whole problem and factors its
+    matrix; the others draw their sources and noise on that factor's matrix,
+    bit-identical to :func:`generate_problem` at the trial seed, or draw
+    nothing and take the error if the factorization failed. IRLS points are
+    solved as they are drawn; the sl0 points of one (n, m) whose settings
+    differ in the width fields alone are then annealed as one block, each
+    column on its own widths, timed at its share of the block's wall time.
+    Only the last factor built outlives the call, in the package's slot.
     """
     seed = base_seed + run_index
-    shared: dict[tuple[int, int], tuple] = {}
+    factors: dict[tuple[int, int], object] = {}  # each shape's factor, or the Sl0Error building it raised
     outcomes: list = [None] * len(points)
     blocks: dict[tuple, tuple] = {}  # each block's factor and (index, s_true, x) of its members
-    for i, (_, point) in enumerate(points):
-        model = point.source_model()
+    for i, (_, point, spec, model) in enumerate(points):
         key = (point.n, point.m)
-        if key in shared:
-            a, factor = shared[key]
-            s_true, x = _draw_measurements(a, model, point.noise_sigma, seed)
-        else:
-            a, s_true, x = generate_problem(model, point.mixing_spec(), seed)
+        factor = factors.get(key)
+        if factor is None:
+            a, s_true, x = generate_problem(model, spec, seed)
             try:
-                factor = _factor_of(a)
+                factor = factors[key] = _factor_of(a)
             except Sl0Error as exc:
-                factor = exc
-            shared[key] = (a, factor)
+                factor = factors[key] = exc
+        elif not isinstance(factor, Sl0Error):
+            s_true, x = _draw_measurements(factor.matrix, model, spec.noise_sigma, seed)
         if isinstance(factor, Sl0Error):
             outcomes[i] = factor
         elif point.solver == "sl0":

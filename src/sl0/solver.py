@@ -380,8 +380,10 @@ def irls_solve(a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: flo
     starting from the minimum-norm solution. Each iterate is feasible by
     construction. ``a`` is the matrix or its factor, as in
     :func:`sl0_solve`; the reweighted systems are formed from the factor's
-    dense ``matrix``.
+    dense ``matrix``. ``p_norm`` must lie in [0, 2], as 2 − p then does.
     """
+    if not 0.0 <= p_norm <= 2.0:
+        raise ValueError(f"p_norm must lie in [0, 2], got {p_norm}")
     proj = _factor_of(a)
     x = as_vector(x)
     mat = proj.matrix

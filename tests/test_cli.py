@@ -596,6 +596,7 @@ EXIT_CASES = {
         2, ["sweep", "--m", "30", "--n", "12", "--k", "3", "--runs", "1", "--noise-sigma", "inf"],
     ),
     "vary irls_p_norm nan": (2, [*IRLS_SWEEP, "--vary", "irls_p_norm=nan"]),
+    "vary irls_p_norm 10": (2, [*IRLS_SWEEP, "--vary", "irls_p_norm=10"]),
     "vary irls_iterations negative": (2, [*IRLS_SWEEP, "--vary", "irls_iterations=-3"]),
     "too many geometric widths": (
         2, ["solve", "--matrix", "{A}", "--rhs", "{x}", "--c", "0.9999999999", "--sigma-min", "1e-300"],

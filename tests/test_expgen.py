@@ -389,11 +389,15 @@ class TestSweeps:
     def test_rank_deficient_matrix_fails_every_point_of_its_shape(self, monkeypatch):
         """When one (n, m)'s matrix cannot be factored, every point of that
         shape reports the error at every run, and the other shape's rows are
-        those of an unpatched sweep."""
+        those of an unpatched sweep. The failed shape draws sources and noise
+        only inside ``generate_problem``, once per run; its other points take
+        the error without drawing."""
         grid = {"n": [12, 16], "solver": ["sl0", "irls"]}
         base = SweepPoint(m=30, k=3)
         clean = run_sweep(grid, runs=2, base_seed=4, base=base)
         drawn = expgen.generate_mixing
+        measured = expgen._draw_measurements
+        draws = {12: 0, 16: 0}
 
         def deficient_at_12(spec, seed=None):
             a = drawn(spec, seed)
@@ -401,8 +405,14 @@ class TestSweeps:
                 a[1] = a[0]
             return a
 
+        def counted(a, *args):
+            draws[a.shape[0]] += 1
+            return measured(a, *args)
+
         monkeypatch.setattr(expgen, "generate_mixing", deficient_at_12)
+        monkeypatch.setattr(expgen, "_draw_measurements", counted)
         rows = run_sweep(grid, runs=2, base_seed=4, base=base)
+        assert draws == {12: 2, 16: 4}
         for row, want in zip(rows, clean, strict=True):
             if row["n"] == 12:
                 assert row["failures"] == row["runs"] == 2
@@ -415,9 +425,10 @@ class TestSweeps:
             run_trial(replace(base, n=12), 0, 4)
 
     def test_irls_fields_checked_when_built(self):
-        """A non-integer or negative ``irls_iterations``, a non-finite
-        ``irls_p_norm`` or a negative or non-finite ``irls_regularizer`` is a
-        ValueError when the point is built, before any trial runs."""
+        """A non-integer or negative ``irls_iterations``, an ``irls_p_norm``
+        outside [0, 2] (NaN and the infinities included) or a negative or
+        non-finite ``irls_regularizer`` is a ValueError when the point is
+        built, before any trial runs."""
         with pytest.raises(ValueError, match="irls_iterations"):
             run_sweep({}, runs=1, base_seed=0, base=SweepPoint(m=30, n=12, k=3, solver="irls", irls_iterations=5.5))
         base = SweepPoint(m=30, n=12, k=3, solver="irls")
@@ -426,6 +437,8 @@ class TestSweeps:
             {"irls_iterations": "5"},
             {"irls_p_norm": math.nan},
             {"irls_p_norm": math.inf},
+            {"irls_p_norm": -1000.0},
+            {"irls_p_norm": 10.0},
             {"irls_regularizer": -1e-8},
             {"irls_regularizer": math.inf},
             {"irls_regularizer": math.nan},
@@ -433,6 +446,7 @@ class TestSweeps:
             with pytest.raises(ValueError, match=next(iter(bad))):
                 replace(base, **bad)
         replace(base, irls_iterations=np.int64(0), irls_p_norm=1.0, irls_regularizer=0.0)
+        replace(base, irls_p_norm=2.0)
 
     def test_non_finite_estimate_is_a_failure(self, monkeypatch):
         """An estimate holding a NaN is a failed trial, not a capped SNR."""

@@ -899,6 +899,14 @@ class TestIrls:
         a = unit_column_matrix(np.random.default_rng(40), 4, 9)
         assert np.all(irls_solve(a, np.zeros(4), regularizer=0.0) == 0.0)
 
+    @pytest.mark.parametrize("p_norm", [-1000.0, -0.5, 2.5, 10.0, math.nan, math.inf])
+    def test_p_norm_outside_zero_to_two_rejected(self, p_norm):
+        """The weight exponent 2 − p must lie in [0, 2]: at p = 10 or
+        −1000 the iterates overflow, so such a p is refused before solving."""
+        a = unit_column_matrix(np.random.default_rng(40), 4, 9)
+        with pytest.raises(ValueError, match="p_norm must lie in"):
+            irls_solve(a, np.ones(4), p_norm=p_norm)
+
     def test_identity_block_system(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         np.testing.assert_allclose(irls_solve(a, [3.0, 4.0]), [3.0, 4.0, 0.0], atol=1e-8)
