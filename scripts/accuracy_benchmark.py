@@ -14,7 +14,7 @@ import argparse
 
 import numpy as np
 
-from sl0 import SolverConfig, SweepPoint, generate_problem, run_sweep, sl0_solve, snr_db, write_sweep_csv
+from sl0 import SweepPoint, generate_problem, run_sweep, sl0_solve, snr_db, write_sweep_csv
 
 
 def main() -> None:
@@ -27,7 +27,7 @@ def main() -> None:
 
     point = SweepPoint(sigma_off=args.sigma_off)
     a, s_true, x = generate_problem(point.source_model(), point.mixing_spec(), args.seed)
-    report = sl0_solve(a, x, SolverConfig(record_estimates=True))
+    report = sl0_solve(a, x, record_estimates=True)
     print("single run, per-width progress:")
     print(f"  {'sigma':>8} {'F':>10} {'SNR dB':>8}")
     for entry in report.trace:

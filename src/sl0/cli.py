@@ -102,15 +102,14 @@ def _field_readers(*owners) -> dict:
     for owner in owners:
         hints = typing.get_type_hints(owner)
         for f in fields(owner):
-            if f.init:
-                kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
-                readers[f.name] = {bool: _parse_bool, PenaltyFamily: str}.get(kind, kind)
+            kind = next(t for t in typing.get_args(hints[f.name]) or (hints[f.name],) if t is not type(None))
+            readers[f.name] = {bool: _parse_bool, PenaltyFamily: str}.get(kind, kind)
     return readers | {"schedule": _parse_schedule, "sigma1": _parse_sigma1}
 
 
 _READERS = _field_readers(expgen.SourceModel, expgen.MixingSpec, _POINT)
-_VARYABLE = sorted({f.name for f in fields(_POINT) if f.init} - {"schedule"})  # a schedule's values contain commas
-_SOLVER_FIELDS = tuple(f.name for f in fields(_CONFIG) if f.name != "record_estimates")
+_VARYABLE = sorted({f.name for f in fields(_POINT)} - {"schedule"})  # a schedule's values contain commas
+_SOLVER_FIELDS = tuple(f.name for f in fields(_CONFIG))
 _PROBLEM_FIELDS = ("sigma_on", "sigma_off", "noise_sigma", "solver")  # after m, n, k and --exact-activation
 _GEN_FIELDS = ("m", "n", "p", "exact_k", "sigma_on", "sigma_off", "noise_sigma", "seed")  # gen.json's order
 _CHOICES = {"family": family_names(), "mode": ("fixed", "threshold"), "solver": expgen.SOLVERS}
@@ -190,7 +189,7 @@ def _solver_fields(args, varied=()) -> dict:
 
 def _init_fields(given: dict, owner) -> dict:
     """The entries of ``given`` that ``owner`` takes as arguments."""
-    return {f.name: given[f.name] for f in fields(owner) if f.init and f.name in given}
+    return {f.name: given[f.name] for f in fields(owner) if f.name in given}
 
 
 def cmd_gen(args) -> int:

@@ -17,17 +17,18 @@ index see identical problem data.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 from itertools import product
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
 from .linalg import _factor_of
-from .solver import GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _write_rows, irls_solve
+from .solver import (
+    GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_irls, _write_rows, irls_solve
+)
 
 # Cap applied when the estimate is (numerically) exact, so averages of
 # decibel values stay finite in noiseless exact-recovery regimes.
@@ -215,10 +216,8 @@ class SweepPoint(SolverConfig):
     IRLS baseline, which reads the ``irls_*`` fields. Defaults are the
     benchmark reference point: 1000 unknowns, 400 equations, 100 active
     sources, unit active scale, 0.01 sensor noise, and the solver defaults.
-    Per-level estimates are never recorded in a sweep.
     """
 
-    record_estimates: bool = field(default=False, init=False)
     m: int = 1000
     n: int = 400
     k: int = 100
@@ -233,12 +232,7 @@ class SweepPoint(SolverConfig):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if not isinstance(self.irls_iterations, numbers.Integral) or self.irls_iterations < 0:
-            raise ValueError(f"irls_iterations must be a non-negative integer, got {self.irls_iterations!r}")
-        if not 0.0 <= self.irls_p_norm <= 2.0:
-            raise ValueError(f"irls_p_norm must lie in [0, 2], got {self.irls_p_norm}")
-        if not 0.0 <= self.irls_regularizer < math.inf:
-            raise ValueError(f"irls_regularizer must be non-negative and finite, got {self.irls_regularizer}")
+        _check_irls(self.irls_p_norm, self.irls_iterations, self.irls_regularizer, prefix="irls_")
 
     def source_model(self) -> SourceModel:
         if self.exact_activation:
@@ -275,7 +269,7 @@ def _grid_points(grid: dict, base: SweepPoint) -> list[tuple[dict, SweepPoint, M
     with them applied, and that point's mixing spec and source model. Every
     point's problem and solver are checked here, before anything is drawn;
     ``base`` alone is not, since the grid may override what makes it invalid."""
-    valid = {f.name for f in fields(SweepPoint) if f.init}
+    valid = {f.name for f in fields(SweepPoint)}
     for key in grid:
         if key not in valid:
             raise ValueError(f"unknown grid key {key!r}; valid keys: {sorted(valid)}")
@@ -326,10 +320,8 @@ def run_sweep(
     jobs·2·n·m·8 bytes for a grid of one shape.
     """
     base = base or SweepPoint()
-    if runs < 1:
-        raise ValueError("runs must be at least 1")
-    if jobs < 1:
-        raise ValueError("jobs must be at least 1")
+    _check_count("runs", runs)
+    _check_count("jobs", jobs)
     points = _grid_points(grid, base)
 
     def one_index(run_index: int) -> list:

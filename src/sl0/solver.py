@@ -30,7 +30,7 @@ from .errors import (
     TooManyActive,
     ZeroVector,
 )
-from .linalg import ProjectorFactor, _factor_of, as_matrix, as_vector, compute_M
+from .linalg import _factor_of, as_matrix, as_vector, compute_M
 from .penalty import PenaltyFamily
 
 # Step factor, inner count and width sequence that the benchmark experiments
@@ -59,6 +59,25 @@ def _check_geometric(sigma1, c, sigma_min) -> None:
     levels = 1 if sigma1 is None else math.ceil((math.log(sigma_min) - math.log(sigma1)) / math.log(c)) + 1
     if levels > MAX_LEVELS:
         raise ValueError(f"sigma1={sigma1}, c={c} and sigma_min={sigma_min} give {levels} widths, over {MAX_LEVELS}")
+
+
+def _check_count(name: str, value) -> None:
+    """A count is an integer, numpy integers included, of at least 1."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+def _check_irls(p_norm, iterations, regularizer, prefix: str = "") -> None:
+    """The ranges of :func:`irls_solve`'s settings, each named in an error
+    with ``prefix`` before it; p in [0, 2] keeps the exponent 2 − p there."""
+    if not isinstance(iterations, numbers.Integral) or iterations < 0:
+        raise ValueError(f"{prefix}iterations must be a non-negative integer, got {iterations!r}")
+    if not 0.0 <= p_norm <= 2.0:
+        raise ValueError(f"{prefix}p_norm must lie in [0, 2], got {p_norm}")
+    if not 0.0 <= regularizer < math.inf:
+        raise ValueError(f"{prefix}regularizer must be non-negative and finite, got {regularizer}")
 
 
 def validate_schedule(values) -> tuple[float, ...]:
@@ -118,7 +137,6 @@ class SolverConfig:
     mode: str = "fixed"
     target_f: float | None = None
     max_inner: int = 1000
-    record_estimates: bool = False
 
     def __post_init__(self) -> None:
         if isinstance(self.family, str):
@@ -133,9 +151,8 @@ class SolverConfig:
             raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if self.target_f is not None and not math.isfinite(self.target_f):
             raise ValueError(f"target_f must be finite, got {self.target_f}")
-        for name, value in (("L", self.L), ("max_inner", self.max_inner)):
-            if not isinstance(value, numbers.Integral) or value < 1:
-                raise ValueError(f"{name} must be an integer of at least 1, got {value!r}")
+        _check_count("L", self.L)
+        _check_count("max_inner", self.max_inner)
         if self.mode not in ("fixed", "threshold"):
             raise ValueError(f"mode must be 'fixed' or 'threshold', got {self.mode!r}")
 
@@ -186,7 +203,7 @@ class SolveReport:
     residual_norm: float = 0.0
 
 
-def sl0_solve(a, x, cfg: SolverConfig | None = None) -> SolveReport:
+def sl0_solve(a, x, cfg: SolverConfig | None = None, *, record_estimates=False) -> SolveReport:
     """Recover a sparse solution of the underdetermined system A·s = x.
 
     ``a`` is the matrix A or a ``ProjectorFactor`` of it. For a matrix, the
@@ -195,13 +212,14 @@ def sl0_solve(a, x, cfg: SolverConfig | None = None) -> SolveReport:
     in equals it entry for entry; only the last matrix's factor is kept. A
     caller alternating several matrices can build one ``ProjectorFactor``
     per matrix and pass it as ``a``. The estimate is the same either way.
+    With ``record_estimates`` each trace level keeps a copy of its iterate.
     This is :func:`sl0_solve_batch` on a block of one column, so
     ``wall_time`` is the whole call's.
     """
-    return sl0_solve_batch(a, as_vector(x)[:, None], cfg)[0]
+    return sl0_solve_batch(a, as_vector(x)[:, None], cfg, record_estimates=record_estimates)[0]
 
 
-def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveReport]:
+def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None, *, record_estimates=False) -> list[SolveReport]:
     """Solve one system per column of an n×T block of right-hand sides.
 
     A single factorization of A·Aᵀ is shared across columns, which advance
@@ -212,7 +230,7 @@ def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveRe
     Each returned report carries the per-sample share of the batch wall
     time. A call works in place on (2m + 2n)·T doubles of workspace (22.4 MB
     at 400×1000 and T = 1000), allocated once and freed when it returns; the
-    estimates it returns take m·T more.
+    estimates it returns take m·T more, ``record_estimates`` m·T per level.
     ``a`` is the matrix or its factor, as in :func:`sl0_solve`, so
     successive blocks on an unchanged matrix reuse its factorization.
     """
@@ -221,7 +239,7 @@ def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveRe
     proj = _factor_of(a)
     x_block = as_matrix(x_block)
     t_count = x_block.shape[1]
-    reports = _anneal_block(proj, x_block, [cfg] * t_count)
+    reports = _anneal_block(proj, x_block, [cfg] * t_count, record_estimates)
     per_sample = (time.perf_counter() - started) / t_count
     for rep in reports:
         if isinstance(rep, ThresholdUnreachable):
@@ -230,9 +248,10 @@ def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None) -> list[SolveRe
     return reports
 
 
-def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[SolveReport | ThresholdUnreachable]:
+def _anneal_block(proj, x_block: np.ndarray, cfgs, record_estimates=False) -> list[SolveReport | ThresholdUnreachable]:
     """Solves of every column of ``x_block`` in lockstep, column t under
-    ``cfgs[t]``.
+    ``cfgs[t]``, each trace level keeping a copy of its iterate if
+    ``record_estimates``.
 
     The configs may differ in the :data:`WIDTH_FIELDS` alone; the first
     one's other settings are used. The columns are ordered by schedule
@@ -253,8 +272,9 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
     formed. After the last level one product over the whole block gives
     every final residual, the step, residual and right-hand-side blocks are
     freed, and each estimate is copied out once. The reports come back in
-    the column order of ``x_block`` and carry no wall time. Of the factor,
-    only ``source_dims``, ``min_norm`` and ``residual`` are used.
+    the column order of ``x_block`` and carry no wall time. Of the factor
+    ``proj`` (a ``ProjectorFactor``), only ``source_dims``, ``min_norm`` and
+    ``residual`` are used.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
@@ -314,7 +334,7 @@ def _anneal_block(proj: ProjectorFactor, x_block: np.ndarray, cfgs) -> list[Solv
             resid = _column_norms(r)
             inner = [cfg.L] * active
         for pos in range(active):
-            estimate = s_rows[pos].copy() if cfg.record_estimates else None
+            estimate = s_rows[pos].copy() if record_estimates else None
             trace = LevelTrace(float(sigmas[pos]), float(f_tot[pos]), float(resid[pos]), int(inner[pos]), estimate)
             traces[pos].append(trace)
     final = _column_norms(proj.residual(s_rows.T, x.T, out=r_rows.T))
@@ -339,18 +359,24 @@ def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = N
 
     Evaluates m·gamma·epsilon·‖Aᵀ(A·Aᵀ)⁻¹‖_F / (n - 2k), where ``gamma``
     bounds the smoothing family's derivative (exp(-1/2), the gaussian value,
-    when omitted). Requires the active count k below n/2 and blows up as k
-    approaches that limit; with exact measurements (epsilon = 0) the floor is
-    0 and the width may shrink arbitrarily.
+    when omitted). Requires the active count k, an integer of at least 0,
+    below n/2 and blows up as k approaches that limit; ``epsilon`` must be
+    non-negative and finite, and ``gamma`` positive and finite. With exact
+    measurements (epsilon = 0) the floor is 0 and the width may shrink
+    arbitrarily.
     """
+    if not isinstance(k, numbers.Integral) or k < 0:
+        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
     if gamma is None:
         gamma = PenaltyFamily("gaussian").derivative_bound
+    elif not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     proj = _factor_of(a)
     n, m = proj.source_dims
     if k >= n / 2.0:
         raise TooManyActive(f"need k < n/2 = {n / 2}, got k={k}")
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be non-negative")
     return m * gamma * epsilon * proj.pinv_frobenius_norm() / (n - 2.0 * k)
 
 
@@ -380,10 +406,10 @@ def irls_solve(a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: flo
     starting from the minimum-norm solution. Each iterate is feasible by
     construction. ``a`` is the matrix or its factor, as in
     :func:`sl0_solve`; the reweighted systems are formed from the factor's
-    dense ``matrix``. ``p_norm`` must lie in [0, 2], as 2 − p then does.
+    dense ``matrix``. ``p_norm`` must lie in [0, 2], ``iterations`` be an
+    integer of at least 0 and ``regularizer`` non-negative and finite.
     """
-    if not 0.0 <= p_norm <= 2.0:
-        raise ValueError(f"p_norm must lie in [0, 2], got {p_norm}")
+    _check_irls(p_norm, iterations, regularizer)
     proj = _factor_of(a)
     x = as_vector(x)
     mat = proj.matrix

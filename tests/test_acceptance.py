@@ -67,7 +67,7 @@ def test_criterion_02_trace_shape(announce):
     """Per-width SNR of a single run climbs from below 10 dB to above 25 dB,
     non-decreasing within 1 dB slack."""
     a, s_true, x = generate_problem(REFERENCE_POINT.source_model(), REFERENCE_POINT.mixing_spec(), 12345)
-    report = sl0_solve(a, x, SolverConfig(record_estimates=True))
+    report = sl0_solve(a, x, record_estimates=True)
     snrs = [snr_db(s_true, entry.estimate) for entry in report.trace]
     start_ok = snrs[0] < 10.0
     end_ok = snrs[-1] > 25.0

@@ -234,7 +234,6 @@ class TestSweepPoint:
             replace(SweepPoint(schedule=None), c=1.5)
 
     def test_estimates_never_recorded(self):
-        assert SweepPoint().record_estimates is False
         with pytest.raises(TypeError):
             SweepPoint(record_estimates=True)
         with pytest.raises(ValueError, match="record_estimates"):
@@ -371,6 +370,16 @@ class TestSweeps:
     def test_no_runs_rejected(self):
         with pytest.raises(ValueError, match="runs"):
             run_sweep({}, runs=0, base_seed=0, base=SweepPoint(m=30, n=12, k=3))
+
+    @pytest.mark.parametrize("name, value", [("runs", 2.0), ("runs", "2"), ("jobs", 2.5), ("jobs", 2.0)])
+    def test_non_integer_counts_rejected(self, name, value):
+        """``runs`` and ``jobs`` are counts, as ``L`` and ``max_inner`` are."""
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_sweep({}, base_seed=0, base=SweepPoint(m=30, n=12, k=3), **{"runs": 1, name: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        rows = run_sweep({}, runs=np.int64(2), base_seed=0, base=SweepPoint(m=30, n=12, k=3), jobs=np.int32(1))
+        assert rows[0]["runs"] == 2
 
     def test_varying_width_keys_needs_geometric_base(self):
         with pytest.raises(ValueError):

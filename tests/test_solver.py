@@ -218,7 +218,7 @@ class TestSl0Solve:
         rng = np.random.default_rng(5)
         a = unit_column_matrix(rng, 10, 30)
         x = rng.standard_normal(10)
-        report = sl0_solve(a, x, SolverConfig(record_estimates=True))
+        report = sl0_solve(a, x, record_estimates=True)
         bound = 1e-8 * max(1.0, np.linalg.norm(x))
         assert all(np.linalg.norm(a @ entry.estimate - x) <= bound for entry in report.trace)
         assert report.residual_norm <= bound
@@ -230,8 +230,8 @@ class TestSl0Solve:
         rng = np.random.default_rng(10)
         a = unit_column_matrix(rng, 20, 50)
         x = rng.standard_normal(20)
-        cfg = SolverConfig(family=PenaltyFamily(family), L=1, record_estimates=True)
-        report = sl0_solve(a, x, cfg)
+        cfg = SolverConfig(family=PenaltyFamily(family), L=1)
+        report = sl0_solve(a, x, cfg, record_estimates=True)
         prev = min_norm_solution(a, x)
         for entry in report.trace:
             stepped = prev - cfg.mu * cfg.family.ascent_direction(prev, entry.sigma)
@@ -279,7 +279,7 @@ class TestSl0Solve:
             s_true = np.zeros(m)
             s_true[rng.choice(m, k, replace=False)] = rng.standard_normal(k)
             x = a @ s_true + 0.01 * rng.standard_normal(n)
-            report = sl0_solve(a, x, SolverConfig(record_estimates=True))
+            report = sl0_solve(a, x, record_estimates=True)
             prev = min_norm_solution(a, x)
             for level, sigma in enumerate(DEFAULT_SCHEDULE):
                 f_entry = float(fam.total(prev, sigma))
@@ -363,8 +363,8 @@ class TestThresholdMode:
         """Levels whose start already clears the target take no step and
         report 0.0; the others report their last step's pre-projection
         residual, far above rounding, and the estimate is feasible."""
-        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold", record_estimates=True)
-        report = sl0_solve(STALL_A, STALL_X, cfg)
+        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=1e-2, mu=2.0, mode="threshold")
+        report = sl0_solve(STALL_A, STALL_X, cfg, record_estimates=True)
         idle = [e for e in report.trace if e.inner_iterations == 0]
         stepped = [e for e in report.trace if e.inner_iterations > 0]
         assert idle and stepped and report.trace[0].inner_iterations == 0
@@ -394,8 +394,8 @@ class TestThresholdMode:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PenaltyFamily, "total", counting_total)
-        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=0.01, mu=2.0, mode="threshold", record_estimates=True)
-        report = sl0_solve(a, x, cfg)
+        cfg = SolverConfig(schedule=None, c=0.8, sigma_min=0.01, mu=2.0, mode="threshold")
+        report = sl0_solve(a, x, cfg, record_estimates=True)
         monkeypatch.undo()
         # Each level checks once on entry and once after each of its steps.
         assert len(calls) == sum(entry.inner_iterations + 1 for entry in report.trace)
@@ -568,14 +568,14 @@ class TestBatch:
         rng = np.random.default_rng(26)
         a = unit_column_matrix(rng, 6, 15)
         block = rng.standard_normal((6, 4)) * np.array([0.05, 1.0, 20.0, 1.0])
-        cfg = SolverConfig(schedule=None, c=0.5, sigma_min=0.01, record_estimates=True)
-        reports = sl0_solve_batch(a, block, cfg)
+        cfg = SolverConfig(schedule=None, c=0.5, sigma_min=0.01)
+        reports = sl0_solve_batch(a, block, cfg, record_estimates=True)
         assert len({len(r.trace) for r in reports}) > 1
         arrays = [r.estimate for r in reports] + [e.estimate for r in reports for e in r.trace]
         for i, first in enumerate(arrays):
             assert not any(np.shares_memory(first, other) for other in arrays[i + 1 :])
         for t, report in enumerate(reports):
-            single = sl0_solve(a, block[:, t], cfg)
+            single = sl0_solve(a, block[:, t], cfg, record_estimates=True)
             assert len(report.trace) == len(single.trace)
             for got, want in zip(report.trace, single.trace):
                 assert np.linalg.norm(got.estimate - want.estimate) <= 1e-9
@@ -852,6 +852,23 @@ class TestSigmaFloorNoisy:
         with pytest.raises(ValueError, match="epsilon"):
             suggest_sigma_floor_noisy(a, k=1, epsilon=-0.1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("k", -5), ("k", 2.5), ("k", "2"), ("epsilon", math.nan), ("epsilon", math.inf), ("gamma", -1.0),
+         ("gamma", 0.0), ("gamma", math.inf), ("gamma", math.nan)],
+    )
+    def test_nonsense_settings_rejected(self, name, value):
+        """A negative or fractional k, a non-finite epsilon or a gamma that is
+        not positive and finite would give a floor that is not a width."""
+        a = unit_column_matrix(np.random.default_rng(0), 12, 30)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            suggest_sigma_floor_noisy(a, **{"k": 2, "epsilon": 0.1, name: value})
+
+    def test_integer_k_of_any_kind_accepted(self):
+        a = unit_column_matrix(np.random.default_rng(0), 12, 30)
+        assert suggest_sigma_floor_noisy(a, k=np.int64(2), epsilon=0.1) == suggest_sigma_floor_noisy(a, 2, 0.1) > 0.0
+        assert suggest_sigma_floor_noisy(a, k=0, epsilon=0.1, gamma=1.0) > 0.0
+
 
 class TestErrorUpperBound:
     def test_sparse_estimate_gives_zero(self):
@@ -906,6 +923,24 @@ class TestIrls:
         a = unit_column_matrix(np.random.default_rng(40), 4, 9)
         with pytest.raises(ValueError, match="p_norm must lie in"):
             irls_solve(a, np.ones(4), p_norm=p_norm)
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("iterations", 5.5), ("iterations", -1), ("regularizer", math.nan), ("regularizer", math.inf),
+         ("regularizer", -1.0)],
+    )
+    def test_settings_out_of_range_rejected(self, name, value):
+        """A fractional count would fail inside ``range`` and a negative one
+        return the start unsolved; a NaN or infinite regularizer gives an
+        all-NaN estimate and a negative one weights that can be negative."""
+        a = unit_column_matrix(np.random.default_rng(40), 4, 9)
+        with pytest.raises(ValueError, match=f"{name} must be"):
+            irls_solve(a, np.ones(4), **{name: value})
+
+    def test_settings_at_range_ends_accepted(self):
+        a = unit_column_matrix(np.random.default_rng(40), 4, 9)
+        s = irls_solve(a, np.ones(4), p_norm=2.0, iterations=np.int64(0), regularizer=0.0)
+        np.testing.assert_allclose(a @ s, np.ones(4), atol=1e-12)
 
     def test_identity_block_system(self):
         a = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
