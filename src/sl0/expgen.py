@@ -27,7 +27,8 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
 from .linalg import _factor_of
 from .solver import (
-    GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_irls, _write_rows, irls_solve
+    GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_integer, _check_irls, _write_rows,
+    irls_solve,
 )
 
 # Cap applied when the estimate is (numerically) exact, so averages of
@@ -50,14 +51,17 @@ class SourceModel:
     sigma_off: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_integer("m", self.m)
         if self.m < 1:
             raise ValueError("m must be positive")
         if (self.p is None) == (self.exact_k is None):
             raise ValueError("exactly one of p and exact_k must be set")
         if self.p is not None and not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if self.exact_k is not None and not 0 <= self.exact_k <= self.m:
-            raise ValueError(f"exact_k must lie in [0, m], got {self.exact_k}")
+        if self.exact_k is not None:
+            _check_integer("exact_k", self.exact_k)
+            if not 0 <= self.exact_k <= self.m:
+                raise ValueError(f"exact_k must lie in [0, m], got {self.exact_k}")
         if not 0.0 < self.sigma_on < math.inf:
             raise ValueError(f"sigma_on must be positive and finite, got {self.sigma_on}")
         if not 0.0 <= self.sigma_off <= self.sigma_on:
@@ -74,6 +78,8 @@ class MixingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_integer("n", self.n)
+        _check_integer("m", self.m)
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
         if not 0.0 <= self.noise_sigma < math.inf:

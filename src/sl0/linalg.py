@@ -62,7 +62,7 @@ class ProjectorFactor:
     matrix products, ``min_norm(x) = A⁺·x`` and ``residual(s, x) = A·s − x``,
     and ``project`` composes them. Each checks its operands, which may be
     in either memory order. ``matrix`` is a C-ordered copy of A and A⁺ is
-    F-ordered, the layout of the solver's sample-major blocks.
+    F-ordered, the layout of the solver's m×T and n×T blocks.
     Everything runs in numpy, so the package uses one BLAS thread pool.
     Immutable after construction; safe to share across concurrent solves.
     The functions that take the matrix A to solve with accept its factor in
@@ -94,7 +94,7 @@ class ProjectorFactor:
                 f"A*A^T condition number {self.condition_estimate:.3e} exceeds {CONDITION_CUTOFF:.0e}"
             )
         # Aᵀ·G⁻¹ as the transpose of the contiguous G⁻¹·A: the same product,
-        # F-ordered, so BLAS multiplies it fastest with sample-major blocks.
+        # F-ordered, so BLAS multiplies it fastest with F-ordered blocks.
         pinv = (gram_inv @ a).T
         if self.condition_estimate > REFINE_CONDITION:
             # One Newton-Schulz step P <- P + P(I - A·P) squares the error,
@@ -110,7 +110,7 @@ class ProjectorFactor:
         """Minimum Euclidean-norm solution A⁺·x of A·s = x, column by column,
         written into ``out`` when given: bit for bit the same into a
         C-ordered ``out``, to rounding into an F-ordered one (the solver's
-        sample-major blocks), for which BLAS takes the other operand order."""
+        m×T blocks), for which BLAS takes the other operand order."""
         x = np.asarray(x, dtype=float)
         n, m = self.source_dims
         if x.ndim not in (1, 2) or x.shape[0] != n:

@@ -61,19 +61,24 @@ def _check_geometric(sigma1, c, sigma_min) -> None:
         raise ValueError(f"sigma1={sigma1}, c={c} and sigma_min={sigma_min} give {levels} widths, over {MAX_LEVELS}")
 
 
-def _check_count(name: str, value) -> None:
-    """A count is an integer, numpy integers included, of at least 1."""
-    if not isinstance(value, numbers.Integral):
+def _check_integer(name: str, value) -> None:
+    """An integer is a ``numbers.Integral``, numpy integers included, but
+    not a ``bool``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
+
+
+def _check_count(name: str, value, least: int = 1) -> None:
+    """A count is an integer of at least ``least``."""
+    _check_integer(name, value)
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value!r}")
 
 
 def _check_irls(p_norm, iterations, regularizer, prefix: str = "") -> None:
     """The ranges of :func:`irls_solve`'s settings, each named in an error
     with ``prefix`` before it; p in [0, 2] keeps the exponent 2 − p there."""
-    if not isinstance(iterations, numbers.Integral) or iterations < 0:
-        raise ValueError(f"{prefix}iterations must be a non-negative integer, got {iterations!r}")
+    _check_count(f"{prefix}iterations", iterations, least=0)
     if not 0.0 <= p_norm <= 2.0:
         raise ValueError(f"{prefix}p_norm must lie in [0, 2], got {p_norm}")
     if not 0.0 <= regularizer < math.inf:
@@ -254,47 +259,44 @@ def _anneal_block(proj, x_block: np.ndarray, cfgs, record_estimates=False) -> li
     ``record_estimates``.
 
     The configs may differ in the :data:`WIDTH_FIELDS` alone; the first
-    one's other settings are used. The columns are ordered by schedule
-    length, longest first, so the columns whose schedules reach a level are
-    the leading ones; the others take no more steps and already hold their
-    estimates. Every step runs in place on workspaces allocated once, held
-    sample-major: column t of the m×T iterate block, the m×T step block and
-    the n×T residual block is row t of a C-ordered T×m (T×n) array, and so
-    is column t of the right-hand sides, made C-contiguous once. The factor
-    and the penalty see their F-ordered m×k (n×k) transposes of the k
-    leading rows. A fixed-mode level takes L steps. A threshold-mode level
-    steps until every column's smoothed measure, evaluated on the block at
-    each check, has reached the target; a column that has reached it takes
-    zero steps until the level ends, so each column gets exactly the steps
-    of its own solve. A column still below the target after max_inner steps
-    is frozen, and its report slot holds the ``ThresholdUnreachable``
-    instead. Each level's residual is the one the column's last projection
-    formed. After the last level one product over the whole block gives
+    one's other settings are used. Every step runs in place on F-ordered
+    workspaces allocated once, the m×T iterate and step blocks and the n×T
+    residual block, beside an F-ordered copy of the right-hand sides. The
+    columns are ordered by schedule length, longest first, so the k columns
+    whose schedules reach a level are the leading m×k (n×k) block; the
+    others take no more steps and already hold their estimates. A
+    fixed-mode level takes L steps. A threshold-mode level steps until every
+    column's smoothed measure, evaluated on the block at each check, has
+    reached the target; a column that has reached it takes zero steps until
+    the level ends, so each column gets exactly the steps of its own solve.
+    A column still below the target after max_inner steps is frozen, and its
+    ``ThresholdUnreachable`` goes straight into its report slot. Each level
+    appends one record of its columns' widths, F, residuals (those their
+    last projections formed), step counts and, if ``record_estimates``,
+    iterates. After the last level one product over the whole block gives
     every final residual, the step, residual and right-hand-side blocks are
-    freed, and each estimate is copied out once. The reports come back in
-    the column order of ``x_block`` and carry no wall time. Of the factor
-    ``proj`` (a ``ProjectorFactor``), only ``source_dims``, ``min_norm`` and
-    ``residual`` are used.
+    freed, and each estimate is copied out once with the trace its records
+    give. The reports come back in the column order of ``x_block`` and
+    carry no wall time. Of the factor ``proj`` (a ``ProjectorFactor``), only
+    ``source_dims``, ``min_norm`` and ``residual`` are used.
     """
     cfg = cfgs[0]
     fam, mu = cfg.family, cfg.mu
     n, m = proj.source_dims
     target = cfg.target_f if cfg.target_f is not None else m - n / 2.0
     t_count = x_block.shape[1]
-    # Sample-major rows: the first k rows of each array are the k active
-    # columns, one contiguous block that every step works on in place.
-    x = np.ascontiguousarray(x_block.T)
-    s_rows, step_rows, r_rows = np.empty((t_count, m)), np.empty((t_count, m)), np.empty((t_count, n))
-    s = proj.min_norm(x.T, out=s_rows.T)
-    schedules = [col_cfg.resolve_schedule(s[:, t]) for t, col_cfg in enumerate(cfgs)]
+    x = np.asfortranarray(x_block)
+    s_all, step_all, r_all = (np.empty((rows, t_count), order="F") for rows in (m, m, n))
+    proj.min_norm(x, out=s_all)
+    schedules = [col_cfg.resolve_schedule(s_all[:, t]) for t, col_cfg in enumerate(cfgs)]
     order = sorted(range(t_count), key=lambda t: -len(schedules[t]))
     if order != sorted(order):
-        # mode="clip" writes straight into ``out``; the default mode buffers.
-        s_rows[...] = np.take(s_rows, order, axis=0, out=step_rows, mode="clip")
-        x = x[order]
+        for pos, t in enumerate(order):  # column copies into the spare block need no m×T temporary
+            step_all[:, pos] = s_all[:, t]
+        s_all, step_all, x = step_all, s_all, x[:, order]
         schedules = [schedules[t] for t in order]
-    traces: list[list[LevelTrace]] = [[] for _ in range(t_count)]
-    failed: dict[int, ThresholdUnreachable] = {}  # keyed by column of ``x_block``
+    reports: list[SolveReport | ThresholdUnreachable | None] = [None] * t_count
+    levels = []  # per level: its columns' widths, F, residuals, step counts and iterates
 
     def ascend(scale) -> None:
         # s <- s − scale·Δ, then the projection s <- s − A⁺r, r = A·s − x kept in ``r``.
@@ -306,16 +308,16 @@ def _anneal_block(proj, x_block: np.ndarray, cfgs, record_estimates=False) -> li
 
     for level in range(len(schedules[0])):
         active = sum(len(sch) > level for sch in schedules)
-        s, step, r, x_act = s_rows[:active].T, step_rows[:active].T, r_rows[:active].T, x[:active].T
+        s, step, r, x_act = s_all[:, :active], step_all[:, :active], r_all[:, :active], x[:, :active]
         sigmas = np.array([sch[level] for sch in schedules[:active]])
         if cfg.mode == "threshold":
             f_tot = fam.total(s, sigmas, axis=0, out=step)
-            going = (f_tot < target) & np.array([t not in failed for t in order[:active]])
+            going = (f_tot < target) & np.array([reports[t] is None for t in order[:active]])
             inner, resid = np.zeros(active, dtype=int), np.zeros(active)
             while going.any():
                 if inner[going][0] == cfg.max_inner:  # the columns still going took every step
                     for pos in np.flatnonzero(going):
-                        failed[order[pos]] = ThresholdUnreachable(
+                        reports[order[pos]] = ThresholdUnreachable(
                             f"smoothed measure stuck below {target:.6g} after {inner[pos]} inner steps at "
                             f"sigma={sigmas[pos]:.6g}; the width sequence likely decreased too fast"
                         )
@@ -332,18 +334,16 @@ def _anneal_block(proj, x_block: np.ndarray, cfgs, record_estimates=False) -> li
             f_tot = fam.total(s, sigmas, axis=0, out=step)
             # ``r`` still holds A·s − x of the last step before its projection.
             resid = _column_norms(r)
-            inner = [cfg.L] * active
-        for pos in range(active):
-            estimate = s_rows[pos].copy() if record_estimates else None
-            trace = LevelTrace(float(sigmas[pos]), float(f_tot[pos]), float(resid[pos]), int(inner[pos]), estimate)
-            traces[pos].append(trace)
-    final = _column_norms(proj.residual(s_rows.T, x.T, out=r_rows.T))
-    # Release the step, residual and right-hand-side blocks before the
-    # estimates are copied out.
-    step_rows = r_rows = x = step = r = x_act = None
-    reports: list[SolveReport | ThresholdUnreachable] = [None] * t_count
+            inner = np.full(active, cfg.L)
+        estimates = [s[:, pos].copy() for pos in range(active)] if record_estimates else [None] * active
+        levels.append((sigmas.tolist(), f_tot.tolist(), resid.tolist(), inner.tolist(), estimates))
+    final = _column_norms(proj.residual(s_all, x, out=r_all))
+    step_all = r_all = x = step = r = x_act = None
     for pos, t in enumerate(order):
-        reports[t] = failed.get(t) or SolveReport(s_rows[pos].copy(), traces[pos], residual_norm=float(final[pos]))
+        if reports[t] is None:
+            depth = len(schedules[pos])
+            trace = [LevelTrace(w[pos], f[pos], res[pos], k[pos], e[pos]) for w, f, res, k, e in levels[:depth]]
+            reports[t] = SolveReport(s_all[:, pos].copy(), trace, residual_norm=float(final[pos]))
     return reports
 
 
@@ -365,8 +365,7 @@ def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = N
     measurements (epsilon = 0) the floor is 0 and the width may shrink
     arbitrarily.
     """
-    if not isinstance(k, numbers.Integral) or k < 0:
-        raise ValueError(f"k must be a non-negative integer, got {k!r}")
+    _check_count("k", k, least=0)
     if not 0.0 <= epsilon < math.inf:
         raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
     if gamma is None:

@@ -52,6 +52,29 @@ def max_left_inverse_norm(a: np.ndarray) -> float:
     return worst
 
 
+def literal_sl0(a: np.ndarray, x: np.ndarray, sigmas, mu: float, L: int, family: str) -> np.ndarray:
+    """The paper's loop for one sample, written out: s = A⁺x from
+    ``np.linalg.pinv``, then at each width σ, L times, the ascent step
+    s ← s − μ·(−σ²∇F_σ(s)) and the projection s ← s − A⁺(A·s − x)."""
+    pinv = np.linalg.pinv(a)
+    s = pinv @ x
+    for sigma in sigmas:
+        for _ in range(L):
+            if family == "gaussian":
+                delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
+            elif family == "rational":
+                delta = 2.0 * s * sigma**4 / (s**2 + sigma**2) ** 2
+            elif family == "triangular":
+                delta = np.where(np.abs(s) < sigma, sigma * np.sign(s), 0.0)
+            elif family == "truncated_hyperbolic":
+                delta = np.where(np.abs(s) < sigma, 2.0 * s, 0.0)
+            else:
+                raise ValueError(f"no formula for family {family!r}")
+            s = s - mu * delta
+            s = s - pinv @ (a @ s - x)
+    return s
+
+
 def unit_column_matrix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
     a = rng.standard_normal((n, m))
     return a / np.linalg.norm(a, axis=0)

@@ -29,7 +29,7 @@ from sl0.expgen import (
 )
 from sl0.linalg import check_urp
 from sl0.penalty import PenaltyFamily
-from sl0.solver import SolverConfig, sl0_solve
+from sl0.solver import SolverConfig, sl0_solve, suggest_sigma_floor_noisy
 
 
 class TestSourceModel:
@@ -40,7 +40,14 @@ class TestSourceModel:
             SourceModel(m=10, p=0.1, exact_k=2)
 
     @pytest.mark.parametrize(
-        "counts, message", [({"m": 0, "p": 0.1}, "m must be positive"), ({"m": 5, "exact_k": 6}, "exact_k")]
+        "counts, message",
+        [
+            ({"m": 0, "p": 0.1}, "m must be positive"),
+            ({"m": 5, "exact_k": 6}, "exact_k"),
+            ({"m": 10.0, "p": 0.1}, "m must be an integer"),
+            ({"m": True, "p": 0.1}, "m must be an integer"),
+            ({"m": 10, "exact_k": 2.5}, "exact_k must be an integer"),
+        ],
     )
     def test_rejects_bad_counts(self, counts, message):
         with pytest.raises(ValueError, match=message):
@@ -345,6 +352,9 @@ class TestSweeps:
             ({"k": [3, 40]}, SweepPoint(m=30, n=12), "p must lie in"),
             ({}, SweepPoint(solver="bogus"), "unknown solver 'bogus'"),
             ({"solver": ["sl0", "bogus"]}, SweepPoint(m=30, n=12, k=3), "unknown solver 'bogus'"),
+            ({}, SweepPoint(m=30, n=12.0, k=3), "n must be an integer"),
+            ({}, SweepPoint(m=30.0, n=12, k=3), "m must be an integer"),
+            ({}, SweepPoint(m=30, n=12, k=2.5, exact_activation=True), "exact_k must be an integer"),
         ],
     )
     def test_invalid_grid_point_rejected_before_drawing(self, monkeypatch, grid, base, message):
@@ -376,6 +386,28 @@ class TestSweeps:
         """``runs`` and ``jobs`` are counts, as ``L`` and ``max_inner`` are."""
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             run_sweep({}, base_seed=0, base=SweepPoint(m=30, n=12, k=3), **{"runs": 1, name: value})
+
+    @pytest.mark.parametrize("name", ["L", "max_inner", "runs", "jobs", "irls_iterations", "k"])
+    def test_bool_is_not_a_count(self, name):
+        """``True`` is a ``numbers.Integral`` but no count, so every count
+        setting refuses it, in a config, a sweep call, a grid or a floor."""
+        base = SweepPoint(m=30, n=12, k=3)
+        calls = {
+            "L": lambda: run_sweep({"L": [True]}, runs=1, base_seed=0, base=base),
+            "max_inner": lambda: SolverConfig(max_inner=True),
+            "runs": lambda: run_sweep({}, runs=True, base_seed=0, base=base),
+            "jobs": lambda: run_sweep({}, runs=1, base_seed=0, base=base, jobs=True),
+            "irls_iterations": lambda: SweepPoint(irls_iterations=True),
+            "k": lambda: suggest_sigma_floor_noisy(generate_mixing(base.mixing_spec()), k=True, epsilon=0.1),
+        }
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            calls[name]()
+
+    def test_fractional_expected_count_accepted(self):
+        """In probability mode ``k`` is an expected count, so it may be
+        fractional; only an exact count must be an integer."""
+        (row,) = run_sweep({}, runs=1, base_seed=0, base=SweepPoint(m=30, n=12, k=2.5))
+        assert row["failures"] == 0
 
     def test_numpy_integer_counts_accepted(self):
         rows = run_sweep({}, runs=np.int64(2), base_seed=0, base=SweepPoint(m=30, n=12, k=3), jobs=np.int32(1))
