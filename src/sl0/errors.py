@@ -44,4 +44,5 @@ class ZeroReference(Sl0Error):
 
 
 class ParseError(Sl0Error):
-    """A matrix/vector text file is malformed."""
+    """An input is malformed: a matrix/vector text file, non-finite entries,
+    or complex values where the package takes real ones."""

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
-from .linalg import _factor_of
+from .linalg import _factor_of, as_real
 from .solver import (
     GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_integer, _check_irls, _write_rows,
     irls_solve,
@@ -116,8 +116,8 @@ def generate_mixing(spec: MixingSpec, seed=None) -> np.ndarray:
 def mix(a: np.ndarray, s: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
     """Measurements A·s plus white Gaussian noise of per-component standard
     deviation ``noise_sigma``."""
-    a = np.asarray(a, dtype=float)
-    s = np.asarray(s, dtype=float)
+    a = as_real(a)
+    s = as_real(s)
     if a.ndim != 2 or s.shape != (a.shape[1],):
         raise DimensionMismatch(f"cannot mix shapes {a.shape} and {s.shape}")
     x = a @ s
@@ -147,8 +147,8 @@ def _draw_measurements(a: np.ndarray, model: SourceModel, noise_sigma: float, se
 
 def _metric_pair(s_true, s_est) -> tuple[np.ndarray, np.ndarray]:
     """Both vectors as float arrays of one shape, every entry finite."""
-    s_true = np.asarray(s_true, dtype=float)
-    s_est = np.asarray(s_est, dtype=float)
+    s_true = as_real(s_true)
+    s_est = as_real(s_est)
     if s_true.shape != s_est.shape:
         raise DimensionMismatch(f"shape mismatch {s_true.shape} vs {s_est.shape}")
     if not (np.all(np.isfinite(s_true)) and np.all(np.isfinite(s_est))):
@@ -255,7 +255,10 @@ class SweepPoint(SolverConfig):
 
 def run_trial(point: SweepPoint, run_index: int, base_seed: int) -> TrialResult:
     """The trial of a one-point, one-run :func:`run_sweep`, whose time
-    excludes the factorization; raises the Sl0Error it counts as a failure."""
+    excludes the factorization; raises the Sl0Error it counts as a failure.
+    ``run_index`` and ``base_seed`` are integers of at least 0."""
+    _check_count("run_index", run_index, least=0)
+    _check_count("base_seed", base_seed, least=0)
     (outcome,) = _sweep_run_index(_grid_points({}, point), run_index, base_seed)
     if isinstance(outcome, Sl0Error):
         raise outcome
@@ -310,7 +313,8 @@ def run_sweep(
     ``grid`` maps SweepPoint field names to value lists; the cartesian
     product is swept in key order. Returns one summary row per grid point
     with mean/std/min SNR, mean MSE and mean solve time; solver failures are
-    counted per point instead of aborting the sweep. With ``collect_trials``
+    counted per point instead of aborting the sweep. ``base_seed`` is an
+    integer of at least 0. With ``collect_trials``
     a long-format list of per-trial rows is returned alongside.
 
     Grid points of one run index that share (n, m) share its matrix, which
@@ -328,6 +332,7 @@ def run_sweep(
     base = base or SweepPoint()
     _check_count("runs", runs)
     _check_count("jobs", jobs)
+    _check_count("base_seed", base_seed, least=0)
     points = _grid_points(grid, base)
 
     def one_index(run_index: int) -> list:

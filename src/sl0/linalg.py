@@ -31,9 +31,18 @@ REFINE_CONDITION = 1e4
 MAX_COLUMNS_FOR_ENUMERATION = 20
 
 
+def as_real(v) -> np.ndarray:
+    """``v`` as a float64 array: the package's one conversion of an array
+    argument. Complex input raises ``ParseError`` rather than losing its
+    imaginary part."""
+    if np.iscomplexobj(v):
+        raise ParseError("complex input is not supported; pass real values")
+    return np.asarray(v, dtype=float)
+
+
 def as_matrix(a) -> np.ndarray:
     """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
-    out = np.asarray(a, dtype=float)
+    out = as_real(a)
     if out.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D matrix, got ndim={out.ndim}")
     if out.shape[0] < 1 or out.shape[1] < 1:
@@ -45,7 +54,7 @@ def as_matrix(a) -> np.ndarray:
 
 def as_vector(v) -> np.ndarray:
     """Coerce to a 1-D float64 array, rejecting non-finite input."""
-    out = np.asarray(v, dtype=float)
+    out = as_real(v)
     if out.ndim != 1:
         raise DimensionMismatch(f"expected a 1-D vector, got ndim={out.ndim}")
     if not np.all(np.isfinite(out)):
@@ -111,7 +120,7 @@ class ProjectorFactor:
         written into ``out`` when given: bit for bit the same into a
         C-ordered ``out``, to rounding into an F-ordered one (the solver's
         m×T blocks), for which BLAS takes the other operand order."""
-        x = np.asarray(x, dtype=float)
+        x = as_real(x)
         n, m = self.source_dims
         if x.ndim not in (1, 2) or x.shape[0] != n:
             raise DimensionMismatch(f"right-hand side of shape {x.shape} does not fit a {n}x{m} matrix")
@@ -120,11 +129,11 @@ class ProjectorFactor:
     def residual(self, s: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """A·s − x, written into ``out`` when given; ``s`` has m rows and
         ``x`` the shape of A·s."""
-        s = np.asarray(s, dtype=float)
+        s, x = as_real(s), as_real(x)
         n, m = self.source_dims
-        if s.ndim not in (1, 2) or s.shape[0] != m or np.shape(x) != (n,) + s.shape[1:]:
+        if s.ndim not in (1, 2) or s.shape[0] != m or x.shape != (n,) + s.shape[1:]:
             raise DimensionMismatch(
-                f"point of shape {s.shape} and right-hand side of shape {np.shape(x)} do not fit a {n}x{m} matrix"
+                f"point of shape {s.shape} and right-hand side of shape {x.shape} do not fit a {n}x{m} matrix"
             )
         r = np.matmul(self.matrix, s, out=out)
         r -= x
@@ -133,7 +142,7 @@ class ProjectorFactor:
     def project(self, s: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Project ``s`` onto {s : A·s = x} as a new array,
         s − min_norm(residual(s, x)); fixes points already feasible."""
-        return np.asarray(s, dtype=float) - self.min_norm(self.residual(s, x))
+        return as_real(s) - self.min_norm(self.residual(s, x))
 
     def pinv_frobenius_norm(self) -> float:
         """Frobenius norm of Aᵀ(A·Aᵀ)⁻¹."""
@@ -162,7 +171,7 @@ def _factor_of(a) -> ProjectorFactor:
     global _last_factor
     if isinstance(a, ProjectorFactor):
         return a
-    a = np.asarray(a, dtype=float)
+    a = as_real(a)
     last = _last_factor
     if last is not None and np.array_equal(last.matrix, a):
         return last

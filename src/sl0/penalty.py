@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveSigma
+from .linalg import as_real
 
 KINDS = ("gaussian", "triangular", "truncated_hyperbolic", "rational")
 
@@ -69,7 +70,7 @@ class PenaltyFamily:
         either way.
         """
         _check_sigma(sigma)
-        s = np.asarray(s, dtype=float)
+        s = as_real(s)
         return _unwrap(self._value_into(s, sigma, _out_for(s, sigma, out)))
 
     def _value_into(self, s, sigma, out):
@@ -105,7 +106,7 @@ class PenaltyFamily:
         allocating call gives it, with no temporary of its size.
         """
         _check_sigma(sigma)
-        s = np.asarray(s, dtype=float)
+        s = as_real(s)
         v = self._value_into(s, sigma, _out_for(s, sigma, out))
         if self.is_smooth:
             if self.kind == "rational":

@@ -144,7 +144,7 @@ class SolverConfig:
     max_inner: int = 1000
 
     def __post_init__(self) -> None:
-        if isinstance(self.family, str):
+        if not isinstance(self.family, PenaltyFamily):
             object.__setattr__(self, "family", PenaltyFamily(self.family))
         if self.schedule is not None:
             if any(getattr(self, f.name) != f.default for f in fields(SolverConfig) if f.name in GEOMETRIC_FIELDS):

@@ -60,19 +60,45 @@ def literal_sl0(a: np.ndarray, x: np.ndarray, sigmas, mu: float, L: int, family:
     s = pinv @ x
     for sigma in sigmas:
         for _ in range(L):
-            if family == "gaussian":
-                delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
-            elif family == "rational":
-                delta = 2.0 * s * sigma**4 / (s**2 + sigma**2) ** 2
-            elif family == "triangular":
-                delta = np.where(np.abs(s) < sigma, sigma * np.sign(s), 0.0)
-            elif family == "truncated_hyperbolic":
-                delta = np.where(np.abs(s) < sigma, 2.0 * s, 0.0)
-            else:
-                raise ValueError(f"no formula for family {family!r}")
-            s = s - mu * delta
-            s = s - pinv @ (a @ s - x)
+            s = _literal_step(pinv, a, x, s, sigma, mu, family)
     return s
+
+
+def literal_sl0_threshold(a: np.ndarray, x: np.ndarray, sigmas, mu: float, target: float, max_inner: int):
+    """The threshold form of :func:`literal_sl0` for the gaussian family,
+    the one threshold mode supports: at each width σ, the projected step
+    while F_σ(s) = Σᵢ exp(−sᵢ²/2σ²) is below ``target``. Returns the
+    estimate and the step count of each width, or None when a width has
+    taken ``max_inner`` steps with F_σ still below the target."""
+    pinv = np.linalg.pinv(a)
+    s = pinv @ x
+    counts = []
+    for sigma in sigmas:
+        steps = 0
+        while np.sum(np.exp(-(s**2) / (2.0 * sigma**2))) < target:
+            if steps == max_inner:
+                return None
+            s = _literal_step(pinv, a, x, s, sigma, mu, "gaussian")
+            steps += 1
+        counts.append(steps)
+    return s, counts
+
+
+def _literal_step(pinv: np.ndarray, a: np.ndarray, x: np.ndarray, s: np.ndarray, sigma: float, mu: float, family: str):
+    """One ascent step s ← s − μ·(−σ²∇F_σ(s)), then the projection
+    s ← s − A⁺(A·s − x)."""
+    if family == "gaussian":
+        delta = s * np.exp(-(s**2) / (2.0 * sigma**2))
+    elif family == "rational":
+        delta = 2.0 * s * sigma**4 / (s**2 + sigma**2) ** 2
+    elif family == "triangular":
+        delta = np.where(np.abs(s) < sigma, sigma * np.sign(s), 0.0)
+    elif family == "truncated_hyperbolic":
+        delta = np.where(np.abs(s) < sigma, 2.0 * s, 0.0)
+    else:
+        raise ValueError(f"no formula for family {family!r}")
+    s = s - mu * delta
+    return s - pinv @ (a @ s - x)
 
 
 def unit_column_matrix(rng: np.random.Generator, n: int, m: int) -> np.ndarray:

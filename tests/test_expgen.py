@@ -355,6 +355,7 @@ class TestSweeps:
             ({}, SweepPoint(m=30, n=12.0, k=3), "n must be an integer"),
             ({}, SweepPoint(m=30.0, n=12, k=3), "m must be an integer"),
             ({}, SweepPoint(m=30, n=12, k=2.5, exact_activation=True), "exact_k must be an integer"),
+            ({"family": [None]}, SweepPoint(m=30, n=12, k=3), "unknown family None"),
         ],
     )
     def test_invalid_grid_point_rejected_before_drawing(self, monkeypatch, grid, base, message):
@@ -402,6 +403,31 @@ class TestSweeps:
         }
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             calls[name]()
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda base: run_sweep({}, runs=1, base_seed=True, base=base), "base_seed must be an integer"),
+            (lambda base: run_sweep({}, runs=1, base_seed=1.5, base=base), "base_seed must be an integer"),
+            (lambda base: run_sweep({}, runs=1, base_seed="3", base=base), "base_seed must be an integer"),
+            (lambda base: run_sweep({}, runs=1, base_seed=-5, base=base), "base_seed must be at least 0"),
+            (lambda base: run_trial(base, True, 0), "run_index must be an integer"),
+            (lambda base: run_trial(base, -1, 0), "run_index must be at least 0"),
+            (lambda base: run_trial(base, 1.0, 0), "run_index must be an integer"),
+            (lambda base: run_trial(base, 0, True), "base_seed must be an integer"),
+            (lambda base: run_trial(base, 0, -1), "base_seed must be at least 0"),
+        ],
+        ids=[
+            "sweep-seed-bool", "sweep-seed-float", "sweep-seed-str", "sweep-seed-negative",
+            "trial-index-bool", "trial-index-negative", "trial-index-float", "trial-seed-bool", "trial-seed-negative",
+        ],
+    )
+    def test_seeds_follow_the_integer_rule(self, call, message):
+        """A seed or run index is an integer of at least 0, checked as counts
+        are: a ``bool``, a float or a string is refused with the integer
+        rule's message, not run as 1 or passed to numpy."""
+        with pytest.raises(ValueError, match=message):
+            call(SweepPoint(m=30, n=12, k=3))
 
     def test_fractional_expected_count_accepted(self):
         """In probability mode ``k`` is an expected count, so it may be

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import frobenius_left_inverse_norm, max_left_inverse_norm, unit_column_matrix
 from sl0.errors import DimensionMismatch, NotURP, ParseError, RankDeficient, TooLarge
+from sl0.expgen import mix, mse, snr_db
 import sl0.linalg
 from sl0.linalg import (
     ProjectorFactor,
@@ -26,6 +27,8 @@ from sl0.linalg import (
     save_matrix,
     save_vector,
 )
+from sl0.penalty import PenaltyFamily
+from sl0.solver import error_upper_bound, irls_solve, sl0_solve, sl0_solve_batch
 
 RESIDUAL_TOL = 1e-8
 
@@ -93,6 +96,41 @@ class TestMinNormSolution:
 def test_coercion_rejects(coerce, value, error):
     with pytest.raises(error):
         coerce(value)
+
+
+# A 3×6 system, a point and a block on it, and each as complex values.
+_A = unit_column_matrix(np.random.default_rng(36), 3, 6)
+_S = np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0])
+_X = _A @ _S
+_A_C, _S_C, _X_C = _A * (1 + 1j), _S + 1j * _S, _X + 1j * _X
+_COMPLEX_CALLS = {
+    "sl0_solve-matrix": lambda: sl0_solve(_A_C, _X),
+    "sl0_solve-rhs": lambda: sl0_solve(_A, _X_C),
+    "sl0_solve_batch-matrix": lambda: sl0_solve_batch(_A_C, np.column_stack([_X, _X])),
+    "sl0_solve_batch-rhs": lambda: sl0_solve_batch(_A, np.column_stack([_X_C, _X])),
+    "ProjectorFactor": lambda: ProjectorFactor(_A_C),
+    "min_norm": lambda: ProjectorFactor(_A).min_norm(_X_C),
+    "residual-point": lambda: ProjectorFactor(_A).residual(_S_C, _X),
+    "residual-rhs": lambda: ProjectorFactor(_A).residual(_S, _X_C),
+    "project": lambda: ProjectorFactor(_A).project(_S_C, _X),
+    "min_norm_solution": lambda: min_norm_solution(_A, _X_C),
+    "irls_solve": lambda: irls_solve(_A, _X_C),
+    "error_upper_bound": lambda: error_upper_bound(_A, _S_C),
+    "check_urp": lambda: check_urp(_A_C),
+    "value": lambda: PenaltyFamily().value(_S_C, 1.0),
+    "ascent_direction": lambda: PenaltyFamily().ascent_direction(_S_C, 1.0),
+    "mix": lambda: mix(_A, _S_C, 0.0, 0),
+    "snr_db": lambda: snr_db(_S, _S + 1j),
+    "mse": lambda: mse(_S, _S + 1j),
+}
+
+
+@pytest.mark.parametrize("call", list(_COMPLEX_CALLS.values()), ids=list(_COMPLEX_CALLS))
+def test_complex_input_raises_parse_error(call):
+    """Every public entry point refuses a complex argument with ParseError,
+    rather than keeping its real part: the package recovers real vectors."""
+    with pytest.raises(ParseError, match="complex"):
+        call()
 
 
 class TestProjectorFactor:
@@ -283,10 +321,10 @@ class TestPrecomputedPseudoinverse:
     @pytest.mark.parametrize("n,m", [(40, 100), (400, 1000)])
     @pytest.mark.parametrize("t", [1, 3, 10])
     def test_sample_major_views_give_the_allocating_values(self, n, m, t):
-        """min_norm, residual and the engine's projection on the F-ordered
-        transposes of the leading rows of C-ordered T×m (T×n) arrays, the
-        solver's sample-major blocks, with ``out`` views of the same kind,
-        equal their allocating calls. ``residual`` does so bit for bit at every
+        """min_norm, residual and the engine's projection on F-ordered m×T
+        (n×T) blocks, the layout of the solver's workspaces, here the
+        transposes of the leading rows of wider C-ordered arrays, with
+        ``out`` views of the same kind, equal their allocating calls. ``residual`` does so bit for bit at every
         shape. The products with A⁺ into an F-ordered ``out`` take BLAS's
         other operand order: OpenBLAS rounds the two orders alike at n = 400
         (bit for bit here) but not at every n (n = 40 agrees to rounding)."""

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     literal_sl0,
+    literal_sl0_threshold,
     max_left_inverse_norm,
     one_sparse_instance,
     sparsest_by_enumeration,
@@ -120,6 +121,13 @@ class TestSchedules:
                 SolverConfig(**setting)
         cfg = SolverConfig(L=np.int64(2), max_inner=np.int32(200))
         assert (cfg.L, cfg.max_inner) == (2, 200)
+
+    @pytest.mark.parametrize("family", [3, None])
+    def test_family_is_a_penalty_family_or_a_name(self, family):
+        """A ``family`` that is neither a PenaltyFamily nor a name fails when
+        the config is built, not later in a solve."""
+        with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+            SolverConfig(family=family)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -626,11 +634,12 @@ class TestBatch:
     def test_second_block_allocates_no_step_temporaries(self, family):
         """A fixed-mode block on a prebuilt factor peaks below 3.75·m·T
         doubles of new memory, with every smoothing family: its workspaces,
-        the sample-major iterate, step and residual blocks and the copy of
-        the right-hand sides ((2m + 2n)·T = 2.8·m·T here), beside the traces
-        it returns (≈ 0.75·m·T); all but the iterate block are freed before
-        the estimates are copied out. One m×T temporary per step would add
-        m·T; a kinked family's boolean support mask adds m·T/8."""
+        the F-ordered m×T iterate and step blocks, the n×T residual block
+        and the copy of the right-hand sides ((2m + 2n)·T = 2.8·m·T here),
+        beside the traces it returns (≈ 0.75·m·T); all but the iterate block
+        are freed before the estimates are copied out. One m×T temporary per
+        step would add m·T; a kinked family's boolean support mask adds
+        m·T/8."""
         n, m, t_count = 80, 200, 500
         rng = np.random.default_rng(27)
         a = unit_column_matrix(rng, n, m)
@@ -735,6 +744,55 @@ def test_columns_match_the_literal_loop(family, mu):
             for t, (cfg, report) in enumerate(zip(col_cfgs, reports, strict=True)):
                 want = literal_sl0(a, x[:, t], cfg.resolve_schedule(start[:, t]), mu, cfg.L, family)
                 assert np.linalg.norm(report.estimate - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
+def test_threshold_columns_match_the_literal_loop(mu):
+    """Each column of a threshold-mode gaussian block matches the paper's
+    loop written out in its threshold form (``conftest.literal_sl0_threshold``)
+    on the widths ``resolve_schedule`` gives the column: the same columns
+    fail at ``max_inner``, and every other one takes the same number of
+    steps at each width and ends within 1e-10 relative of the loop. Each
+    block mixes auto widths with geometric ones from sigma1 = 1 and holds one
+    zero column; it runs through the engine mixed, and through
+    ``sl0_solve_batch`` per width config, which raises when one of its
+    columns fails and solves the block of the others. On these blocks 17 of
+    the 54 engine columns fail on both sides, and the worst difference was
+    1.2e-13."""
+    cfgs = [
+        SolverConfig(mode="threshold", mu=mu, max_inner=200, schedule=None, c=0.8, sigma_min=0.01, **widths)
+        for widths in ({}, dict(sigma1=1.0))
+    ]
+
+    def assert_matches(report, want):
+        assert [e.inner_iterations for e in report.trace] == want[1]
+        assert np.linalg.norm(report.estimate - want[0]) <= 1e-10 * np.linalg.norm(want[0])
+
+    for seed, (n, m) in enumerate(((20, 50), (40, 100), (100, 250))):
+        rng = np.random.default_rng(700 + seed)
+        a = unit_column_matrix(rng, n, m)
+        sources = np.where(rng.random((m, 6)) < 0.1, rng.standard_normal((m, 6)), 0.0)
+        x = a @ sources + 0.01 * rng.standard_normal((n, 6))
+        x[:, 0] = 0.0
+        start = np.linalg.pinv(a) @ x
+        target = m - n / 2.0
+        wants = [
+            [literal_sl0_threshold(a, x[:, t], cfg.resolve_schedule(start[:, t]), mu, target, 200) for t in range(6)]
+            for cfg in cfgs
+        ]
+        mixed = [cfgs[t % len(cfgs)] for t in range(6)]
+        for t, report in enumerate(_anneal_block(ProjectorFactor(a), x, mixed)):
+            want = wants[t % len(cfgs)][t]
+            assert isinstance(report, ThresholdUnreachable) == (want is None)
+            if want is not None:
+                assert_matches(report, want)
+        for cfg, own in zip(cfgs, wants):
+            solved = [t for t, want in enumerate(own) if want is not None]  # the zero column at least
+            if len(solved) < 6:
+                with pytest.raises(ThresholdUnreachable):
+                    sl0_solve_batch(a, x, cfg)
+            for t, report in zip(solved, sl0_solve_batch(a, x[:, solved], cfg), strict=True):
+                assert_matches(report, own[t])
 
 
 # Reference-point blocks of T = 1 and 10 columns on one matrix, solved at the
