@@ -98,7 +98,7 @@ def test_coercion_rejects(coerce, value, error):
         coerce(value)
 
 
-# A 3×6 system, a point and a block on it, and each as complex values.
+# A 3×6 system, a sparse point and its right-hand side, and each with an imaginary part.
 _A = unit_column_matrix(np.random.default_rng(36), 3, 6)
 _S = np.array([0.0, 1.5, 0.0, 0.0, -0.7, 0.0])
 _X = _A @ _S
@@ -324,10 +324,11 @@ class TestPrecomputedPseudoinverse:
         """min_norm, residual and the engine's projection on F-ordered m×T
         (n×T) blocks, the layout of the solver's workspaces, here the
         transposes of the leading rows of wider C-ordered arrays, with
-        ``out`` views of the same kind, equal their allocating calls. ``residual`` does so bit for bit at every
-        shape. The products with A⁺ into an F-ordered ``out`` take BLAS's
-        other operand order: OpenBLAS rounds the two orders alike at n = 400
-        (bit for bit here) but not at every n (n = 40 agrees to rounding)."""
+        ``out`` views of the same kind, equal their allocating calls.
+        ``residual`` does so bit for bit at every shape. The products with
+        A⁺ into an F-ordered ``out`` take BLAS's other operand order:
+        OpenBLAS rounds the two orders alike at n = 400 (bit for bit here)
+        but not at every n (n = 40 agrees to rounding)."""
         rng = np.random.default_rng(35)
         a = unit_column_matrix(rng, n, m)
         proj = ProjectorFactor(a)
