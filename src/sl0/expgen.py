@@ -27,8 +27,8 @@ import numpy as np
 from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
 from .linalg import _factor_of, as_real
 from .solver import (
-    GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_integer, _check_irls, _write_rows,
-    irls_solve,
+    GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_integer, _check_irls, _check_real,
+    _write_rows, irls_solve,
 )
 
 # Cap applied when the estimate is (numerically) exact, so averages of
@@ -56,16 +56,14 @@ class SourceModel:
             raise ValueError("m must be positive")
         if (self.p is None) == (self.exact_k is None):
             raise ValueError("exactly one of p and exact_k must be set")
-        if self.p is not None and not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
+        if self.p is not None:
+            _check_real("p", self.p, 0.0, 1.0, closed=True)
         if self.exact_k is not None:
             _check_integer("exact_k", self.exact_k)
             if not 0 <= self.exact_k <= self.m:
                 raise ValueError(f"exact_k must lie in [0, m], got {self.exact_k}")
-        if not 0.0 < self.sigma_on < math.inf:
-            raise ValueError(f"sigma_on must be positive and finite, got {self.sigma_on}")
-        if not 0.0 <= self.sigma_off <= self.sigma_on:
-            raise ValueError("need 0 <= sigma_off <= sigma_on")
+        _check_real("sigma_on", self.sigma_on, 0.0)
+        _check_real("sigma_off", self.sigma_off, 0.0, self.sigma_on, closed=True)
 
 
 @dataclass(frozen=True)
@@ -82,8 +80,8 @@ class MixingSpec:
         _check_integer("m", self.m)
         if not 1 <= self.n <= self.m:
             raise ValueError(f"need 1 <= n <= m, got n={self.n}, m={self.m}")
-        if not 0.0 <= self.noise_sigma < math.inf:
-            raise ValueError(f"noise_sigma must be non-negative and finite, got {self.noise_sigma}")
+        _check_real("noise_sigma", self.noise_sigma, 0.0, closed=True)
+        _check_count("seed", self.seed, least=0)
 
 
 @dataclass(frozen=True)
@@ -120,6 +118,7 @@ def mix(a: np.ndarray, s: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
     s = as_real(s)
     if a.ndim != 2 or s.shape != (a.shape[1],):
         raise DimensionMismatch(f"cannot mix shapes {a.shape} and {s.shape}")
+    _check_real("noise_sigma", noise_sigma, 0.0, closed=True)
     x = a @ s
     if noise_sigma > 0.0:
         x = x + noise_sigma * np.random.default_rng(seed).standard_normal(a.shape[0])

@@ -33,7 +33,7 @@ _DERIVATIVE_BOUND = {
 
 
 def _check_sigma(sigma) -> None:
-    if np.any(np.asarray(sigma) <= 0.0):
+    if not np.all(as_real(sigma) > 0.0):
         raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
 
 
@@ -48,9 +48,9 @@ class PenaltyFamily:
     kind: str = "gaussian"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kind", _ALIASES.get(self.kind, self.kind))
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in family_names():
             raise ValueError(f"unknown family {self.kind!r}; choose from {KINDS}")
+        object.__setattr__(self, "kind", _ALIASES.get(self.kind, self.kind))
 
     @property
     def is_smooth(self) -> bool:

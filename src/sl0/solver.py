@@ -52,13 +52,23 @@ MAX_LEVELS = 100_000
 def _check_geometric(sigma1, c, sigma_min) -> None:
     """The range check of a geometric sequence, and of its length once
     ``sigma1`` is known; ``sigma1`` None is auto."""
-    if not (sigma1 is None or 0.0 < sigma1 < math.inf) or not 0.0 < sigma_min < math.inf:
-        raise ValueError(f"sigma1 and sigma_min must be positive and finite, got {sigma1} and {sigma_min}")
-    if not 0.0 < c < 1.0:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
+    if sigma1 is not None:
+        _check_real("sigma1", sigma1, 0.0)
+    _check_real("sigma_min", sigma_min, 0.0)
+    _check_real("c", c, 0.0, 1.0)
     levels = 1 if sigma1 is None else math.ceil((math.log(sigma_min) - math.log(sigma1)) / math.log(c)) + 1
     if levels > MAX_LEVELS:
         raise ValueError(f"sigma1={sigma1}, c={c} and sigma_min={sigma_min} give {levels} widths, over {MAX_LEVELS}")
+
+
+def _check_real(name: str, value, low=-math.inf, high=math.inf, closed=False) -> None:
+    """A real setting is a finite ``numbers.Real``, not a ``bool``, in (low, high), or [low, high] if ``closed``."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    if not (real and (low <= value <= high if closed else low < value < high)):
+        interval = f"{'[' if closed else '('}{low:g}, {high:g}{']' if closed else ')'}"
+        words = {"(0, inf)": "positive and finite", "[0, inf]": "non-negative and finite", "(-inf, inf)": "finite"}
+        rule = f"be {words[interval]}" if interval in words else f"lie in {interval}"
+        raise ValueError(f"{name} must {rule}, got {value!r}")
 
 
 def _check_integer(name: str, value) -> None:
@@ -79,10 +89,8 @@ def _check_irls(p_norm, iterations, regularizer, prefix: str = "") -> None:
     """The ranges of :func:`irls_solve`'s settings, each named in an error
     with ``prefix`` before it; p in [0, 2] keeps the exponent 2 − p there."""
     _check_count(f"{prefix}iterations", iterations, least=0)
-    if not 0.0 <= p_norm <= 2.0:
-        raise ValueError(f"{prefix}p_norm must lie in [0, 2], got {p_norm}")
-    if not 0.0 <= regularizer < math.inf:
-        raise ValueError(f"{prefix}regularizer must be non-negative and finite, got {regularizer}")
+    _check_real(f"{prefix}p_norm", p_norm, 0.0, 2.0, closed=True)
+    _check_real(f"{prefix}regularizer", regularizer, 0.0, closed=True)
 
 
 def validate_schedule(values) -> tuple[float, ...]:
@@ -152,10 +160,9 @@ class SolverConfig:
             object.__setattr__(self, "schedule", validate_schedule(self.schedule))
         else:
             _check_geometric(self.sigma1, self.c, self.sigma_min)
-        if not 0.0 < self.mu < math.inf:
-            raise ValueError(f"mu must be positive and finite, got {self.mu}")
-        if self.target_f is not None and not math.isfinite(self.target_f):
-            raise ValueError(f"target_f must be finite, got {self.target_f}")
+        _check_real("mu", self.mu, 0.0)
+        if self.target_f is not None:
+            _check_real("target_f", self.target_f)
         _check_count("L", self.L)
         _check_count("max_inner", self.max_inner)
         if self.mode not in ("fixed", "threshold"):
@@ -366,12 +373,10 @@ def suggest_sigma_floor_noisy(a, k: int, epsilon: float, gamma: float | None = N
     arbitrarily.
     """
     _check_count("k", k, least=0)
-    if not 0.0 <= epsilon < math.inf:
-        raise ValueError(f"epsilon must be non-negative and finite, got {epsilon}")
+    _check_real("epsilon", epsilon, 0.0, closed=True)
     if gamma is None:
         gamma = PenaltyFamily("gaussian").derivative_bound
-    elif not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+    _check_real("gamma", gamma, 0.0)
     proj = _factor_of(a)
     n, m = proj.source_dims
     if k >= n / 2.0:

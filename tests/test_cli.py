@@ -592,6 +592,7 @@ EXIT_CASES = {
     "gen noise_sigma nan": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--noise-sigma", "nan"]),
     "gen noise_sigma inf": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--noise-sigma", "inf"]),
     "gen sigma_on inf": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--sigma-on", "inf"]),
+    "gen seed negative": (2, ["gen", "--m", "6", "--n", "3", "--p", "0.5", "--seed", "-1"]),
     "sweep noise_sigma inf": (
         2, ["sweep", "--m", "30", "--n", "12", "--k", "3", "--runs", "1", "--noise-sigma", "inf"],
     ),
@@ -663,6 +664,13 @@ def test_exit_codes(tmp_path, capsys, monkeypatch, case):
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert list((tmp_path / "dir").iterdir()) == []
         assert stat.S_ISFIFO((tmp_path / "fifo").stat().st_mode)
+
+
+def test_negative_seed_named(tmp_path, capsys):
+    """A negative seed is refused as the seed, before numpy's unnamed error."""
+    assert run_cli("gen", "--m", 6, "--n", 3, "--p", 0.5, "--seed", -1, "--out-dir", tmp_path) == 2
+    assert "seed must be at least 0, got -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestBound:

@@ -119,6 +119,7 @@ _COMPLEX_CALLS = {
     "check_urp": lambda: check_urp(_A_C),
     "value": lambda: PenaltyFamily().value(_S_C, 1.0),
     "ascent_direction": lambda: PenaltyFamily().ascent_direction(_S_C, 1.0),
+    "value-width": lambda: PenaltyFamily().value(_S, 1.0 + 1j),
     "mix": lambda: mix(_A, _S_C, 0.0, 0),
     "snr_db": lambda: snr_db(_S, _S + 1j),
     "mse": lambda: mse(_S, _S + 1j),

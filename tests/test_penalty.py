@@ -31,6 +31,8 @@ def test_nonpositive_sigma_rejected(fam):
         fam.value(1.0, 0.0)
     with pytest.raises(NonPositiveSigma):
         fam.ascent_direction(np.ones(3), -1.0)
+    with pytest.raises(NonPositiveSigma):
+        fam.value(np.ones(3), math.nan)
 
 
 class TestClosedForms:

@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -30,7 +31,7 @@ from sl0.errors import (
     TooManyActive,
     ZeroVector,
 )
-from sl0.expgen import SweepPoint, generate_problem
+from sl0.expgen import MixingSpec, SourceModel, SweepPoint, generate_problem, mix
 from sl0.linalg import ProjectorFactor, compute_M, min_norm_solution
 from sl0.penalty import KINDS, PenaltyFamily
 from sl0.solver import (
@@ -122,11 +123,11 @@ class TestSchedules:
         cfg = SolverConfig(L=np.int64(2), max_inner=np.int32(200))
         assert (cfg.L, cfg.max_inner) == (2, 200)
 
-    @pytest.mark.parametrize("family", [3, None])
+    @pytest.mark.parametrize("family", [3, None, ["gaussian"]])
     def test_family_is_a_penalty_family_or_a_name(self, family):
         """A ``family`` that is neither a PenaltyFamily nor a name fails when
         the config is built, not later in a solve."""
-        with pytest.raises(ValueError, match=f"unknown family {family!r}"):
+        with pytest.raises(ValueError, match=re.escape(f"unknown family {family!r}")):
             SolverConfig(family=family)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -172,6 +173,49 @@ class TestSchedules:
         auto = SolverConfig(schedule=None, c=0.9999999999, sigma_min=1e-300)
         with pytest.raises(ValueError, match="widths"):
             sl0_solve(TINY_A, TINY_X, auto)
+
+
+# One call per real setting, that sets it to the value passed; each names it
+# in its error as the key does, but for mix's noise_sigma.
+_REAL_A = unit_column_matrix(np.random.default_rng(0), 4, 9)
+_REAL_SETTINGS = {
+    "sigma1": lambda v: SolverConfig(schedule=None, sigma1=v),
+    "sigma_min": lambda v: SolverConfig(schedule=None, sigma_min=v),
+    "c": lambda v: SolverConfig(schedule=None, c=v),
+    "mu": lambda v: SolverConfig(mu=v),
+    "target_f": lambda v: SolverConfig(mode="threshold", target_f=v),
+    "p_norm": lambda v: irls_solve(_REAL_A, np.ones(4), p_norm=v),
+    "regularizer": lambda v: irls_solve(_REAL_A, np.ones(4), regularizer=v),
+    "irls_p_norm": lambda v: SweepPoint(irls_p_norm=v),
+    "irls_regularizer": lambda v: SweepPoint(irls_regularizer=v),
+    "epsilon": lambda v: suggest_sigma_floor_noisy(_REAL_A, 1, v),
+    "gamma": lambda v: suggest_sigma_floor_noisy(_REAL_A, 1, 0.1, v),
+    "p": lambda v: SourceModel(m=9, p=v),
+    "sigma_on": lambda v: SourceModel(m=9, p=0.5, sigma_on=v),
+    "sigma_off": lambda v: SourceModel(m=9, p=0.5, sigma_off=v),
+    "noise_sigma": lambda v: MixingSpec(n=4, m=9, noise_sigma=v),
+    "mix": lambda v: mix(_REAL_A, np.ones(9), v, 0),
+    "seed": lambda v: MixingSpec(n=4, m=9, seed=v),
+}
+# A bool, a complex number, a string and a 0-d array for every real setting
+# (c has no bool inside (0, 1)); non-finite and negative noise levels for mix,
+# which took them as noiseless; non-integer and negative seeds.
+_REAL_CASES = (
+    [(name, value) for name in _REAL_SETTINGS if name not in ("mix", "seed")
+     for value in ([] if name == "c" else [True]) + [1j, "1", np.array(0.5)]]
+    + [("mix", value) for value in (True, 1j, "1", np.array(0.5), math.nan, math.inf, -math.inf, -0.5)]
+    + [("seed", value) for value in (True, 1j, "3", np.array(1), 1.5, -1)]
+)
+
+
+@pytest.mark.parametrize("name, value", _REAL_CASES, ids=[f"{name}-{value!r}" for name, value in _REAL_CASES])
+def test_real_settings_follow_one_rule(name, value):
+    """A real setting is a finite real number that is not a bool, inside its
+    range: anything else is a ValueError that names the setting, raised
+    before the value is used, never a TypeError or a silent 1.0."""
+    label = "noise_sigma" if name == "mix" else name
+    with pytest.raises(ValueError, match=f"^{label} must"):
+        _REAL_SETTINGS[name](value)
 
 
 class TestAutoSigma1:
@@ -744,6 +788,58 @@ def test_columns_match_the_literal_loop(family, mu):
             for t, (cfg, report) in enumerate(zip(col_cfgs, reports, strict=True)):
                 want = literal_sl0(a, x[:, t], cfg.resolve_schedule(start[:, t]), mu, cfg.L, family)
                 assert np.linalg.norm(report.estimate - want) <= 1e-10 * np.linalg.norm(want)
+
+
+@st.composite
+def _literal_blocks(draw):
+    """A fixed-mode block to check against the literal loop: a matrix of
+    n <= 100 rows at n/m in [0.3, 0.5], 1 to 8 unit-scale columns of which
+    up to two are zero, and a family at a step factor it matches the loop at
+    (the gaussian up to 2.5, every family up to 1). Each column draws
+    stock, geometric or auto widths; the geometric and auto ones share a
+    drawn decrease factor and floor."""
+    n = draw(st.integers(4, 100))
+    m = draw(st.integers(math.ceil(n / 0.5), math.floor(n / 0.3)))
+    t_count = draw(st.integers(1, 8))
+    family = draw(st.sampled_from(KINDS))
+    mu = draw(st.floats(0.1, 2.5 if family == "gaussian" else 1.0))
+    c, sigma_min = draw(st.floats(0.5, 0.85)), draw(st.sampled_from([1e-2, 1e-3]))
+    widths = [{}, dict(schedule=None, sigma1=draw(st.floats(0.5, 2.0)), c=c, sigma_min=sigma_min)]
+    widths.append(dict(schedule=None, c=c, sigma_min=sigma_min))
+    columns = draw(st.lists(st.sampled_from(widths), min_size=t_count, max_size=t_count))
+    cfgs = [SolverConfig(family=family, mu=mu, **w) for w in columns]
+    zero = draw(st.lists(st.integers(0, t_count - 1), max_size=2))
+    return n, m, cfgs, zero, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(_literal_blocks())
+def test_drawn_columns_match_the_literal_loop(block):
+    """Each column of a drawn block equals the paper's loop written out for
+    that sample, to 1e-10 relative, through the engine with the block's
+    width configs mixed and through ``sl0_solve_batch`` on the columns of
+    each config; a zero column stays zero. Columns are unit-scale: the
+    rational and truncated hyperbolic families above mu = 1, and a column
+    scaled far below its floor, part from the loop (see
+    ``test_columns_match_the_literal_loop``)."""
+    n, m, cfgs, zero, seed = block
+    rng = np.random.default_rng(seed)
+    a = unit_column_matrix(rng, n, m)
+    t_count = len(cfgs)
+    sources = np.where(rng.random((m, t_count)) < 0.1, rng.standard_normal((m, t_count)), 0.0)
+    x = a @ sources + 0.01 * rng.standard_normal((n, t_count))
+    x[:, zero] = 0.0
+    start = np.linalg.pinv(a) @ x
+    wants = [
+        literal_sl0(a, x[:, t], cfg.resolve_schedule(start[:, t]), cfg.mu, cfg.L, cfg.family.kind)
+        for t, cfg in enumerate(cfgs)
+    ]
+    got = [(t, report) for t, report in enumerate(_anneal_block(ProjectorFactor(a), x, cfgs))]
+    for cfg in dict.fromkeys(cfgs):
+        cols = [t for t in range(t_count) if cfgs[t] == cfg]
+        got += zip(cols, sl0_solve_batch(a, x[:, cols], cfg), strict=True)
+    for t, report in got:
+        assert np.linalg.norm(report.estimate - wants[t]) <= 1e-10 * np.linalg.norm(wants[t])
 
 
 @pytest.mark.parametrize("mu", [0.5, 1.0, 1.5])
