@@ -81,7 +81,7 @@ def _atomic_write(*outputs) -> None:
 
 
 def _parse_schedule(text: str) -> tuple[float, ...]:
-    return solver.validate_schedule(text.split(","))
+    return solver.validate_schedule([float(v) for v in text.split(",")])
 
 
 def _parse_sigma1(text: str) -> float | None:

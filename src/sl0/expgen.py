@@ -24,8 +24,8 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DimensionMismatch, ParseError, Sl0Error, ZeroReference
-from .linalg import _factor_of, as_real
+from .errors import DimensionMismatch, Sl0Error, ZeroReference
+from .linalg import _factor_of, as_finite
 from .solver import (
     GEOMETRIC_FIELDS, WIDTH_FIELDS, SolverConfig, _anneal_block, _check_count, _check_integer, _check_irls, _check_real,
     _write_rows, irls_solve,
@@ -114,9 +114,8 @@ def generate_mixing(spec: MixingSpec, seed=None) -> np.ndarray:
 def mix(a: np.ndarray, s: np.ndarray, noise_sigma: float, seed) -> np.ndarray:
     """Measurements A·s plus white Gaussian noise of per-component standard
     deviation ``noise_sigma``."""
-    a = as_real(a)
-    s = as_real(s)
-    if a.ndim != 2 or s.shape != (a.shape[1],):
+    a, s = as_finite(a, 2), as_finite(s, 1)
+    if s.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"cannot mix shapes {a.shape} and {s.shape}")
     _check_real("noise_sigma", noise_sigma, 0.0, closed=True)
     x = a @ s
@@ -145,13 +144,10 @@ def _draw_measurements(a: np.ndarray, model: SourceModel, noise_sigma: float, se
 
 
 def _metric_pair(s_true, s_est) -> tuple[np.ndarray, np.ndarray]:
-    """Both vectors as float arrays of one shape, every entry finite."""
-    s_true = as_real(s_true)
-    s_est = as_real(s_est)
+    """Both vectors as read by :func:`as_finite`, of one shape."""
+    s_true, s_est = as_finite(s_true), as_finite(s_est)
     if s_true.shape != s_est.shape:
         raise DimensionMismatch(f"shape mismatch {s_true.shape} vs {s_est.shape}")
-    if not (np.all(np.isfinite(s_true)) and np.all(np.isfinite(s_est))):
-        raise ParseError("cannot score a vector containing NaN or Inf entries")
     return s_true, s_est
 
 

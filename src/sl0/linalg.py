@@ -40,25 +40,18 @@ def as_real(v) -> np.ndarray:
     return np.asarray(v, dtype=float)
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce to a 2-D float64 array, rejecting empty or non-finite input."""
-    out = as_real(a)
-    if out.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D matrix, got ndim={out.ndim}")
-    if out.shape[0] < 1 or out.shape[1] < 1:
-        raise DimensionMismatch(f"matrix must be at least 1x1, got {out.shape}")
-    if not np.all(np.isfinite(out)):
-        raise ParseError("matrix contains NaN or Inf entries")
-    return out
-
-
-def as_vector(v) -> np.ndarray:
-    """Coerce to a 1-D float64 array, rejecting non-finite input."""
+def as_finite(v, ndim: int | None = None) -> np.ndarray:
+    """``v`` through :func:`as_real`, of ``ndim`` dimensions when given, with
+    at least one entry and every entry finite: the package's one reader of an
+    array argument. A wrong rank or no entry raises ``DimensionMismatch``, a
+    NaN or ±inf ``ParseError``."""
     out = as_real(v)
-    if out.ndim != 1:
-        raise DimensionMismatch(f"expected a 1-D vector, got ndim={out.ndim}")
+    if ndim is not None and out.ndim != ndim:
+        raise DimensionMismatch(f"expected a {ndim}-D array, got ndim={out.ndim}")
+    if out.size < 1:
+        raise DimensionMismatch(f"array must have at least one entry, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
-        raise ParseError("vector contains NaN or Inf entries")
+        raise ParseError("array contains NaN or Inf entries")
     return out
 
 
@@ -85,7 +78,7 @@ class ProjectorFactor:
     """
 
     def __init__(self, a) -> None:
-        a = as_matrix(a).copy()
+        a = as_finite(a, 2).copy()
         n, m = a.shape
         if n > m:
             raise RankDeficient(f"matrix is {n}x{m}; need n <= m for an underdetermined system")
@@ -186,7 +179,7 @@ def _factor_of(a) -> ProjectorFactor:
 
 def min_norm_solution(a, x) -> np.ndarray:
     """Minimum Euclidean-norm solution Aᵀ(A·Aᵀ)⁻¹x of the wide system A·s = x."""
-    return _factor_of(a).min_norm(as_vector(x))
+    return _factor_of(a).min_norm(as_finite(x, 1))
 
 
 def check_urp(a) -> bool:
@@ -196,7 +189,7 @@ def check_urp(a) -> bool:
     1e-10 magnitude threshold is scale-free. Raises ``TooLarge`` for more
     than ``MAX_COLUMNS_FOR_ENUMERATION`` columns.
     """
-    a = as_matrix(a)
+    a = as_finite(a, 2)
     n, m = a.shape
     if n > m:
         raise DimensionMismatch(f"need n <= m, got {a.shape}")
@@ -222,7 +215,7 @@ def compute_M(a) -> float:
     ‖A_S′⁺‖_F² >= ‖A_S⁺‖_F² + 1/σ₁(A_S′)² for full-column-rank S ⊂ S′,
     so under the URP the maximum lies at size n.
     """
-    a = as_matrix(a)
+    a = as_finite(a, 2)
     n, m = a.shape
     if not check_urp(a):
         raise NotURP("matrix has a singular square column submatrix")
@@ -234,7 +227,7 @@ def compute_M(a) -> float:
 
 
 def save_matrix(path, a) -> None:
-    a = as_matrix(a)
+    a = as_finite(a, 2)
     np.savetxt(path, a, fmt="%.17g", header=f"{a.shape[0]} {a.shape[1]}", comments="")
 
 
@@ -273,7 +266,7 @@ def load_matrix(path) -> np.ndarray:
 
 
 def save_vector(path, v) -> None:
-    save_matrix(path, as_vector(v)[:, None])
+    save_matrix(path, as_finite(v, 1)[:, None])
 
 
 def load_vector(path) -> np.ndarray:

@@ -33,8 +33,11 @@ _DERIVATIVE_BOUND = {
 
 
 def _check_sigma(sigma) -> None:
-    if not np.all(as_real(sigma) > 0.0):
-        raise NonPositiveSigma(f"sigma must be positive, got {sigma}")
+    """A width, or each of a row of widths, follows the real rule of the
+    settings: an int or a float, not a bool, positive and finite."""
+    widths = as_real(sigma)
+    if np.asarray(sigma).dtype.kind not in "iuf" or not np.all((widths > 0.0) & (widths < math.inf)):
+        raise NonPositiveSigma(f"sigma must be positive and finite, got {sigma!r}")
 
 
 @dataclass(frozen=True)

@@ -19,18 +19,14 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    ThresholdUnreachable,
-    TooManyActive,
-    ZeroVector,
-)
-from .linalg import _factor_of, as_matrix, as_vector, compute_M
+from .errors import DimensionMismatch, ThresholdUnreachable, TooManyActive, ZeroVector
+from .linalg import _factor_of, as_finite, compute_M
 from .penalty import PenaltyFamily
 
 # Step factor, inner count and width sequence that the benchmark experiments
@@ -62,8 +58,10 @@ def _check_geometric(sigma1, c, sigma_min) -> None:
 
 
 def _check_real(name: str, value, low=-math.inf, high=math.inf, closed=False) -> None:
-    """A real setting is a finite ``numbers.Real``, not a ``bool``, in (low, high), or [low, high] if ``closed``."""
-    real = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    """A real setting is an int or float (numpy's too), not a ``bool`` or a type numpy cannot use such as
+    ``Fraction``, finite as a float (an int is compared exactly), in (low, high), or [low, high] if ``closed``."""
+    real = isinstance(value, (numbers.Integral, float, np.floating)) and not isinstance(value, bool)
+    real = real and (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral) else math.isfinite(value))
     if not (real and (low <= value <= high if closed else low < value < high)):
         interval = f"{'[' if closed else '('}{low:g}, {high:g}{']' if closed else ')'}"
         words = {"(0, inf)": "positive and finite", "[0, inf]": "non-negative and finite", "(-inf, inf)": "finite"}
@@ -94,12 +92,14 @@ def _check_irls(p_norm, iterations, regularizer, prefix: str = "") -> None:
 
 
 def validate_schedule(values) -> tuple[float, ...]:
-    """Check a width sequence is positive, finite and strictly decreasing."""
+    """A width sequence as floats: one or more widths, each a real setting
+    > 0 named by its position, strictly decreasing. A string or a single
+    number is not a sequence."""
+    if np.ndim(values) != 1 or len(values) == 0:
+        raise ValueError(f"schedule must be a sequence of one or more widths, got {values!r}")
+    for i, v in enumerate(values):
+        _check_real(f"schedule[{i}]", v, 0.0)
     out = tuple(float(v) for v in values)
-    if len(out) < 1:
-        raise ValueError("schedule must contain at least one width")
-    if not all(0.0 < v < math.inf for v in out):
-        raise ValueError(f"schedule widths must be positive and finite: {out}")
     if any(b >= a for a, b in zip(out, out[1:])):
         raise ValueError(f"schedule must be strictly decreasing: {out}")
     return out
@@ -121,7 +121,7 @@ def geometric_schedule(sigma1: float, c: float, sigma_min: float) -> tuple[float
 def auto_sigma1(s0) -> float:
     """Starting width from the minimum-norm iterate: twice its largest
     magnitude, the low end of the range where the smoothing saturates."""
-    s0 = as_vector(s0)
+    s0 = as_finite(s0, 1)
     peak = float(np.max(np.abs(s0)))
     if peak == 0.0:
         raise ZeroVector("cannot pick a starting width from an all-zero vector")
@@ -228,7 +228,7 @@ def sl0_solve(a, x, cfg: SolverConfig | None = None, *, record_estimates=False) 
     This is :func:`sl0_solve_batch` on a block of one column, so
     ``wall_time`` is the whole call's.
     """
-    return sl0_solve_batch(a, as_vector(x)[:, None], cfg, record_estimates=record_estimates)[0]
+    return sl0_solve_batch(a, as_finite(x, 1)[:, None], cfg, record_estimates=record_estimates)[0]
 
 
 def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None, *, record_estimates=False) -> list[SolveReport]:
@@ -249,7 +249,7 @@ def sl0_solve_batch(a, x_block, cfg: SolverConfig | None = None, *, record_estim
     cfg = cfg or SolverConfig()
     started = time.perf_counter()
     proj = _factor_of(a)
-    x_block = as_matrix(x_block)
+    x_block = as_finite(x_block, 2)
     t_count = x_block.shape[1]
     reports = _anneal_block(proj, x_block, [cfg] * t_count, record_estimates)
     per_sample = (time.perf_counter() - started) / t_count
@@ -392,8 +392,8 @@ def error_upper_bound(a, s_hat) -> float:
     Exact for estimates with at most floor(n/2) nonzeros (alpha = 0). Only
     available under the small-instance guard of :func:`compute_M`.
     """
-    a = as_matrix(a)
-    s_hat = as_vector(s_hat)
+    a = as_finite(a, 2)
+    s_hat = as_finite(s_hat, 1)
     n, m = a.shape
     if s_hat.shape[0] != m:
         raise DimensionMismatch(f"estimate has length {s_hat.shape[0]}, expected {m}")
@@ -415,7 +415,7 @@ def irls_solve(a, x, p_norm: float = 0.0, iterations: int = 50, regularizer: flo
     """
     _check_irls(p_norm, iterations, regularizer)
     proj = _factor_of(a)
-    x = as_vector(x)
+    x = as_finite(x, 1)
     mat = proj.matrix
     s = proj.min_norm(x)
     for _ in range(iterations):

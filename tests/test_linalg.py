@@ -17,8 +17,7 @@ import sl0.linalg
 from sl0.linalg import (
     ProjectorFactor,
     _factor_of,
-    as_matrix,
-    as_vector,
+    as_finite,
     check_urp,
     compute_M,
     load_matrix,
@@ -84,18 +83,22 @@ class TestMinNormSolution:
             min_norm_solution(a, np.zeros(5))
 
 
-@pytest.mark.parametrize(
-    "coerce, value, error",
-    [
-        (as_matrix, np.zeros((0, 3)), DimensionMismatch),
-        (as_vector, np.ones((2, 2)), DimensionMismatch),
-        (as_vector, [np.nan], ParseError),
-    ],
-    ids=["empty matrix", "2-D vector", "NaN vector"],
-)
-def test_coercion_rejects(coerce, value, error):
+_BAD_ARRAYS = {
+    "empty matrix": (lambda: as_finite(np.zeros((0, 3)), 2), DimensionMismatch),
+    "2-D vector": (lambda: as_finite(np.ones((2, 2)), 1), DimensionMismatch),
+    "NaN vector": (lambda: as_finite([np.nan], 1), ParseError),
+    "empty vector": (lambda: as_finite([], 1), DimensionMismatch),
+    "mix NaN in a": (lambda: mix(np.array([[np.nan, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.ones(3), 0.0, 0), ParseError),
+    "mix inf in a": (lambda: mix(np.array([[np.inf, 0.0, 0.0], [0.0, 1.0, 0.0]]), np.ones(3), 0.0, 0), ParseError),
+    "mix NaN in s": (lambda: mix(np.eye(2, 3), [np.nan, 1.0, 1.0], 0.0, 0), ParseError),
+    "mix inf in s": (lambda: mix(np.eye(2, 3), [1.0, -np.inf, 1.0], 0.0, 0), ParseError),
+}
+
+
+@pytest.mark.parametrize("call, error", list(_BAD_ARRAYS.values()), ids=list(_BAD_ARRAYS))
+def test_coercion_rejects(call, error):
     with pytest.raises(error):
-        coerce(value)
+        call()
 
 
 # A 3×6 system, a sparse point and its right-hand side, and each with an imaginary part.

@@ -33,6 +33,9 @@ def test_nonpositive_sigma_rejected(fam):
         fam.ascent_direction(np.ones(3), -1.0)
     with pytest.raises(NonPositiveSigma):
         fam.value(np.ones(3), math.nan)
+    for width in (True, math.inf, np.array([1.0, math.inf])):
+        with pytest.raises(NonPositiveSigma):
+            fam.value(1.0, width)
 
 
 class TestClosedForms:

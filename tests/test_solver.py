@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 from pathlib import Path
 
@@ -90,7 +91,11 @@ class TestSchedules:
             geometric_schedule(1.0, 1.0, 0.01)
 
     @pytest.mark.parametrize(
-        "values", [(), (0.0, -1.0), (1.0, 1.0), (0.5, 1.0), (math.inf, 1.0), (1.0, math.nan), (2.0, -math.inf)]
+        "values",
+        [
+            (), (0.0, -1.0), (1.0, 1.0), (0.5, 1.0), (math.inf, 1.0), (1.0, math.nan), (2.0, -math.inf),
+            (True, 0.5), ("1", "0.5"), "10", 1.0, (np.array([1.0]),),
+        ],
     )
     def test_validate_schedule_rejects(self, values):
         with pytest.raises(ValueError):
@@ -197,18 +202,19 @@ _REAL_SETTINGS = {
     "mix": lambda v: mix(_REAL_A, np.ones(9), v, 0),
     "seed": lambda v: MixingSpec(n=4, m=9, seed=v),
 }
-# A bool, a complex number, a string and a 0-d array for every real setting
-# (c has no bool inside (0, 1)); non-finite and negative noise levels for mix,
-# which took them as noiseless; non-integer and negative seeds.
+# A bool, a complex number, a string, a 0-d array, a Fraction numpy cannot
+# use and an int no float holds for every real setting (c has no bool inside
+# (0, 1)); non-finite and negative noise levels for mix, which took them as
+# noiseless; non-integer and negative seeds.
 _REAL_CASES = (
     [(name, value) for name in _REAL_SETTINGS if name not in ("mix", "seed")
-     for value in ([] if name == "c" else [True]) + [1j, "1", np.array(0.5)]]
-    + [("mix", value) for value in (True, 1j, "1", np.array(0.5), math.nan, math.inf, -math.inf, -0.5)]
+     for value in ([] if name == "c" else [True]) + [1j, "1", np.array(0.5), Fraction(1, 2), 10**400]]
+    + [("mix", value) for value in (True, 1j, "1", np.array(0.5), Fraction(1, 2), 10**400, math.nan, math.inf, -math.inf, -0.5)]
     + [("seed", value) for value in (True, 1j, "3", np.array(1), 1.5, -1)]
 )
 
 
-@pytest.mark.parametrize("name, value", _REAL_CASES, ids=[f"{name}-{value!r}" for name, value in _REAL_CASES])
+@pytest.mark.parametrize("name, value", _REAL_CASES, ids=[f"{name}-{value!r:.30}" for name, value in _REAL_CASES])
 def test_real_settings_follow_one_rule(name, value):
     """A real setting is a finite real number that is not a bool, inside its
     range: anything else is a ValueError that names the setting, raised
